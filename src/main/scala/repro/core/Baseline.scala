@@ -2,107 +2,77 @@ package repro.core
 
 import scala.collection.mutable
 
-/** The paper's baselines (§VIII-A4).
+/** The paper's baselines (§VIII-A4): the Koios pipeline with other phases.
   *
-  * **Baseline**: uses the token stream only for candidate generation (any set
-  * with ≥1 element of similarity ≥ α to a query element), then computes the
-  * exact bipartite matching for *every* candidate and keeps a top-k list.
+  * **Baseline**: uses the token stream only for candidate generation
+  * ([[AllCandidates]]: any set with ≥1 element of similarity ≥ α to a query
+  * element), then computes the exact bipartite matching for *every*
+  * candidate and keeps a top-k list.
   *
   * **Baseline+** (`useIubFilter = true`): additionally activates the
   * refinement-phase iUB filter (needed to make WDC-scale repositories
   * feasible), then verifies every survivor — no No-EM or early termination.
   */
 final class BaselineEngine(repo: SetCollection, index: SimilarityIndex,
-                           useIubFilter: Boolean = false) extends Serializable {
+                           useIubFilter: Boolean = false) extends KoiosEngine(repo, index) {
 
-  def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
-    val query = queryTokens.distinct.toArray
-    val deadline =
-      if (params.timeoutMs > 0) System.nanoTime() + params.timeoutMs * 1000000L else 0L
-    val t0 = System.nanoTime()
+  override protected def candidatePhase(stream: TokenStream, query: Array[String],
+                                        params: KoiosParams,
+                                        deadlineNanos: Long): RefinementOutput =
+    if (useIubFilter) super.candidatePhase(stream, query, params, deadlineNanos)
+    else AllCandidates.run(repo.records, repo.inverted, stream, query, deadlineNanos)
 
-    val stream = new TokenStream(query, index, params.alpha)
+  override protected def verifyPhase(candidates: RefinementOutput, query: Array[String],
+                                     params: KoiosParams,
+                                     deadlineNanos: Long): PostProcessingOutput =
+    PostProcessing.verifyAll(repo.records, candidates, query, params, deadlineNanos)
 
-    var candIdxs: IndexedSeq[Int] = IndexedSeq.empty
-    var edgeCache: scala.collection.Map[String, Array[(Int, Double)]] = Map.empty
-    var streamTuples = 0L
-    var candidates = 0
-    var iubPruned = 0
-    var refTimedOut = false
+  override protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long =
+    if (useIubFilter) super.boundStateBytes(candidates, queryLen) else 0L
+}
 
-    if (useIubFilter) {
-      val ref = Refinement.run(repo.records, repo.inverted, stream, query, params, deadline)
-      candIdxs = ref.survivors.map(_.idx)
-      edgeCache = ref.edgeCache
-      streamTuples = ref.streamTuples
-      candidates = ref.candidates
-      iubPruned = ref.iubPruned
-      refTimedOut = ref.timedOut
-    } else {
-      val cache = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
-      val seen = new java.util.BitSet(repo.records.length)
-      while (stream.hasNext && !refTimedOut) {
-        val tup = stream.next()
-        streamTuples += 1
-        cache.getOrElseUpdate(tup.token, new mutable.ArrayBuffer[(Int, Double)]()) +=
-          ((tup.qIdx, tup.sim))
-        repo.inverted.get(tup.token).foreach(seen.set)
-        if ((streamTuples & 1023L) == 0L && deadline > 0 && System.nanoTime() > deadline)
-          refTimedOut = true
-      }
-      val idxs = mutable.ArrayBuffer.empty[Int]
-      var i = seen.nextSetBit(0)
-      while (i >= 0) { idxs += i; i = seen.nextSetBit(i + 1) }
-      val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
-      cache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }
-      candIdxs = idxs.toIndexedSeq
-      edgeCache = frozen
-      candidates = idxs.length
+/** Unfiltered candidate generation: drains the token stream and admits every
+  * set that contains a streamed token, i.e. every set with at least one
+  * α-neighbour of a query token, keeping the token → (qIdx, sim) edge cache
+  * for verification. No bound is maintained, so the candidates carry only
+  * the trivial bounds 0 ≤ SO ≤ min(|Q|,|C|) and come out in repository order;
+  * nothing is pruned. Shared by the plain Baseline and SilkMoth.
+  */
+object AllCandidates {
+
+  def run(records: IndexedSeq[SetRecord],
+          inverted: InvertedIndex,
+          stream: TokenStream,
+          query: Array[String],
+          deadlineNanos: Long): RefinementOutput = {
+    val cache = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
+    val seen = new java.util.BitSet(records.length)
+    var tuples = 0L
+    var timedOut = false
+    while (stream.hasNext && !timedOut) {
+      val tup = stream.next()
+      tuples += 1
+      cache.getOrElseUpdate(tup.token, new mutable.ArrayBuffer[(Int, Double)]()) +=
+        ((tup.qIdx, tup.sim))
+      inverted.get(tup.token).foreach(seen.set)
+      if ((tuples & 1023L) == 0L && deadlineNanos > 0 && System.nanoTime() > deadlineNanos)
+        timedOut = true
     }
-    val t1 = System.nanoTime()
-
-    val edgesOf: String => Array[(Int, Double)] =
-      t => edgeCache.getOrElse(t, Array.empty[(Int, Double)])
-    // Same kernel choice as Koios: full |Q|x|C| matrices (the paper's
-    // implementation) unless reducedGraphs is set.
-    def graphOf(idx: Int): Matching.Graph =
-      if (params.reducedGraphs) Matching.buildGraph(repo.records(idx).tokens, edgesOf)
-      else Matching.buildFullGraph(query.length, repo.records(idx).tokens, edgesOf)
-    val topk = mutable.PriorityQueue.empty[ScoredSet](Ordering.by(r => (-r.score, r.id)))
-    var emComputed = 0
-    var timedOut = refTimedOut
-    val it = candIdxs.iterator
-    while (it.hasNext && !timedOut) {
-      val idx = it.next()
-      Matching.semanticOverlap(graphOf(idx)) match {
-        case Completed(so) =>
-          emComputed += 1
-          if (so > 0.0) {
-            topk.enqueue(ScoredSet(repo.records(idx).id, so))
-            if (topk.size > params.k) topk.dequeue()
-          }
-        case EarlyTerminated => throw new IllegalStateException("unreachable")
-      }
-      if (deadline > 0 && System.nanoTime() > deadline) timedOut = true
+    val survivors = mutable.ArrayBuffer.empty[Survivor]
+    var i = seen.nextSetBit(0)
+    while (i >= 0) {
+      survivors += Survivor(i, 0.0, math.min(query.length, records(i).size).toDouble)
+      i = seen.nextSetBit(i + 1)
     }
-    val t2 = System.nanoTime()
-
-    val mem =
-      SizeEst.ofTokenStream(stream.bufferedPairs) +
-        SizeEst.ofEdgeCache(edgeCache) +
-        SizeEst.ofPostProcessing(params.k, candIdxs.length)
-
-    SearchResult(
-      topk = topk.toSeq.sortBy(r => (-r.score, r.id)),
-      stats = SearchStats(
-        candidates = candidates,
-        iubPruned = iubPruned,
-        survivors = candIdxs.length,
-        emComputed = emComputed,
-        streamTuples = streamTuples,
-        refinementMs = (t1 - t0) / 1e6,
-        postprocMs = (t2 - t1) / 1e6,
-        memBytes = mem,
-        timedOut = timedOut))
+    val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
+    cache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }
+    RefinementOutput(
+      survivors = survivors.toIndexedSeq,
+      edgeCache = frozen,
+      topkLb = new TopKList(1), // stays empty: no lower bound, θ_lb = 0
+      candidates = survivors.length,
+      iubPruned = 0,
+      streamTuples = tuples,
+      timedOut = timedOut)
   }
 }

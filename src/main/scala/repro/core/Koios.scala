@@ -13,45 +13,61 @@ final class SetCollection(val records: IndexedSeq[SetRecord]) extends Serializab
 }
 
 /** End-to-end Koios search on one repository (one partition in the
-  * distributed setting): refinement (Alg. 1) then post-processing (Alg. 2),
-  * with phase timings, filter counters and a memory estimate.
+  * distributed setting): normalise the query, probe the similarity index
+  * into the token stream, run refinement (Alg. 1) then post-processing
+  * (Alg. 2), and record phase timings, filter counters and a memory estimate.
+  * The baselines ([[BaselineEngine]]) are this pipeline with other phases.
   */
-final class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Serializable {
+class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Serializable {
 
-  def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
+  /** Candidate selection over the token stream. */
+  protected def candidatePhase(stream: TokenStream, query: Array[String], params: KoiosParams,
+                               deadlineNanos: Long): RefinementOutput =
+    Refinement.run(collection.records, collection.inverted, stream, query, params, deadlineNanos)
+
+  /** Verification of the candidate phase's survivors. */
+  protected def verifyPhase(candidates: RefinementOutput, query: Array[String],
+                            params: KoiosParams, deadlineNanos: Long): PostProcessingOutput =
+    PostProcessing.run(collection.records, candidates, query, params, deadlineNanos)
+
+  /** Estimated bytes of the per-candidate bound state the candidate phase kept. */
+  protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long =
+    SizeEst.ofCandidates(candidates.candidates, queryLen, avgMatched = 8.0) +
+      SizeEst.ofBuckets(candidates.survivors.length)
+
+  final def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
     val query = queryTokens.distinct.toArray
     val deadline =
       if (params.timeoutMs > 0) System.nanoTime() + params.timeoutMs * 1000000L else 0L
 
     val t0 = System.nanoTime()
     val stream = new TokenStream(query, index, params.alpha)
-    val ref = Refinement.run(collection.records, collection.inverted, stream, query, params, deadline)
+    val cands = candidatePhase(stream, query, params, deadline)
     val t1 = System.nanoTime()
-    val post = PostProcessing.run(collection.records, ref, query, params, deadline)
+    val post = verifyPhase(cands, query, params, deadline)
     val t2 = System.nanoTime()
 
     val mem =
       SizeEst.ofTokenStream(stream.bufferedPairs) +
-        SizeEst.ofEdgeCache(ref.edgeCache) +
-        SizeEst.ofCandidates(ref.candidates, query.length, avgMatched = 8.0) +
-        SizeEst.ofBuckets(ref.survivors.length) +
-        SizeEst.ofPostProcessing(params.k, ref.survivors.length)
+        SizeEst.ofEdgeCache(cands.edgeCache) +
+        boundStateBytes(cands, query.length) +
+        SizeEst.ofPostProcessing(params.k, cands.survivors.length)
 
     SearchResult(
       topk = post.results.take(params.k),
       stats = SearchStats(
-        candidates = ref.candidates,
-        iubPruned = ref.iubPruned,
-        survivors = ref.survivors.length,
+        candidates = cands.candidates,
+        iubPruned = cands.iubPruned,
+        survivors = cands.survivors.length,
         noEm = post.noEm,
         emEarlyTerminated = post.emEarlyTerminated,
         emComputed = post.emComputed,
         finalizeEms = post.finalizeEms,
-        streamTuples = ref.streamTuples,
+        streamTuples = cands.streamTuples,
         refinementMs = (t1 - t0) / 1e6,
         postprocMs = (t2 - t1) / 1e6,
         memBytes = mem,
-        thetaLbFinal = ref.topkLb.threshold,
-        timedOut = ref.timedOut || post.timedOut))
+        thetaLbFinal = cands.topkLb.threshold,
+        timedOut = cands.timedOut || post.timedOut))
   }
 }

@@ -31,72 +31,58 @@ object Matching {
     */
   val PruneEps = 1e-9
 
-  /** Reduced bipartite graph of one (query, candidate) pair: only nodes with
-    * at least one α-edge are materialized, which keeps the O(n³) matching on
-    * the *effective* graph size rather than the raw cardinalities.
+  /** Weight matrix of one (query, candidate) pair, from per-token edge lists.
     *
-    * @param qRows distinct query-token positions with ≥1 edge (row order)
-    * @param w     dense weight matrix, rows = qRows, cols = candidate tokens
-    *              with ≥1 edge
-    */
-  final case class Graph(qRows: Array[Int], w: Array[Array[Double]]) {
-    def isEmpty: Boolean = qRows.isEmpty
-  }
-
-  /** Builds the reduced graph from per-candidate-token edge lists.
+    * Full (`reduced = false`) is the paper's matrix construction (§VIII-A3):
+    * ALL query tokens × ALL candidate tokens, zero where no α-edge, exactly
+    * like the hungarian-algorithm-cpp implementation the paper uses — so one
+    * verification costs O(max(|Q|,|C|)³) however sparse the graph is. This
+    * cost model is what makes the unfiltered baseline explode and the filter
+    * stack pay off. Reduced (`KoiosParams.reducedGraphs`) keeps only the
+    * query positions and candidate tokens with ≥1 α-edge, in their original
+    * order — an optimization beyond the paper with identical scores. Either
+    * way a candidate without any α-edge gives the empty matrix.
     *
-    * @param cTokens candidate tokens
+    * @param qCount  |Q|; rows are query positions
+    * @param cTokens candidate tokens; columns
     * @param edgesOf token → (qIdx, sim) pairs with sim ≥ α (e.g. the stream's
     *                similarity cache); tokens without entry have no edges
     */
-  def buildGraph(cTokens: Array[String], edgesOf: String => Array[(Int, Double)]): Graph = {
-    val perCol = new mutable.ArrayBuffer[Array[(Int, Double)]]()
-    val qSet = new mutable.TreeSet[Int]()
-    var i = 0
-    while (i < cTokens.length) {
-      val es = edgesOf(cTokens(i))
-      if (es.nonEmpty) { perCol += es; es.foreach(e => qSet += e._1) }
-      i += 1
+  def weights(qCount: Int, cTokens: Array[String], edgesOf: String => Array[(Int, Double)],
+              reduced: Boolean): Array[Array[Double]] = {
+    var cols = cTokens
+    var rowOf: Array[Int] = null // null: row = query position
+    var nRows = qCount
+    if (reduced) {
+      val hasEdge = new Array[Boolean](qCount)
+      cols = cTokens.filter { t =>
+        val es = edgesOf(t)
+        es.foreach(e => hasEdge(e._1) = true)
+        es.nonEmpty
+      }
+      rowOf = new Array[Int](qCount)
+      nRows = 0
+      var qi = 0
+      while (qi < qCount) { if (hasEdge(qi)) { rowOf(qi) = nRows; nRows += 1 }; qi += 1 }
     }
-    if (perCol.isEmpty) return Graph(Array.empty, Array.empty)
-    val qRows = qSet.toArray
-    val rowOf = qRows.zipWithIndex.toMap
-    val w = Array.fill(qRows.length, perCol.length)(0.0)
-    var c = 0
-    while (c < perCol.length) {
-      perCol(c).foreach { case (qi, s) => w(rowOf(qi))(c) = math.max(w(rowOf(qi))(c), s) }
-      c += 1
-    }
-    Graph(qRows, w)
-  }
-
-  /** The paper's matrix construction (§VIII-A3): the similarity matrix spans
-    * ALL query tokens × ALL candidate tokens (zero where no α-edge), exactly
-    * like the hungarian-algorithm-cpp implementation the paper uses — so one
-    * verification costs O(max(|Q|,|C|)³) regardless of how sparse the graph
-    * is. This cost model is what makes the unfiltered baseline explode and
-    * the filter stack pay off; [[buildGraph]] (edge-reduced) is kept as an
-    * optimization toggle (`KoiosParams.reducedGraphs`) and yields identical
-    * scores.
-    */
-  def buildFullGraph(qCount: Int, cTokens: Array[String],
-                     edgesOf: String => Array[(Int, Double)]): Graph = {
-    val w = Array.fill(qCount, cTokens.length)(0.0)
-    var c = 0
+    val w = Array.ofDim[Double](nRows, cols.length)
     var any = false
-    while (c < cTokens.length) {
-      val es = edgesOf(cTokens(c))
+    var c = 0
+    while (c < cols.length) {
+      val es = edgesOf(cols(c))
       var e = 0
       while (e < es.length) {
-        w(es(e)._1)(c) = math.max(w(es(e)._1)(c), es(e)._2)
+        val r = if (rowOf eq null) es(e)._1 else rowOf(es(e)._1)
+        w(r)(c) = math.max(w(r)(c), es(e)._2)
         any = true
         e += 1
       }
       c += 1
     }
-    if (!any) Graph(Array.empty, Array.empty)
-    else Graph(Array.range(0, qCount), w)
+    if (any) w else NoWeights
   }
+
+  private val NoWeights = Array.empty[Array[Double]]
 
   /** Direct edge lists between explicit token arrays (reference path for
     * tests, oracles and the Spark verification UDF).
@@ -117,21 +103,20 @@ object Matching {
     * heaviest edge between unmatched nodes. Deterministic tie-breaking.
     * At least half the optimal score [Vazirani 2001].
     */
-  def greedyScore(g: Graph): Double = {
-    if (g.isEmpty) return 0.0
+  def greedyScore(w: Array[Array[Double]]): Double = {
     val edges = new mutable.ArrayBuffer[(Double, Int, Int)]()
     var i = 0
-    while (i < g.w.length) {
+    while (i < w.length) {
       var j = 0
-      while (j < g.w(i).length) {
-        if (g.w(i)(j) > 0.0) edges += ((g.w(i)(j), i, j))
+      while (j < w(i).length) {
+        if (w(i)(j) > 0.0) edges += ((w(i)(j), i, j))
         j += 1
       }
       i += 1
     }
     val sorted = edges.sortBy { case (s, i, j) => (-s, i, j) }
-    val mr = new Array[Boolean](g.w.length)
-    val mc = new Array[Boolean](if (g.w.isEmpty) 0 else g.w(0).length)
+    val mr = new Array[Boolean](w.length)
+    val mc = new Array[Boolean](if (w.isEmpty) 0 else w(0).length)
     var score = 0.0
     sorted.foreach { case (s, i, j) =>
       if (!mr(i) && !mc(j)) { mr(i) = true; mc(j) = true; score += s }
@@ -230,27 +215,27 @@ object Matching {
     Completed(score)
   }
 
-  /** Exact semantic overlap via the reduced graph and the Hungarian kernel. */
-  def semanticOverlap(g: Graph, theta: Double = Double.NegativeInfinity): HungarianOutcome =
-    if (g.isEmpty) { if (0.0 < theta - PruneEps) EarlyTerminated else Completed(0.0) }
-    else hungarianMax(g.w, theta)
+  /** The exact matching score of `w`: [[hungarianMax]] without a threshold. */
+  def score(w: Array[Array[Double]]): Double = hungarianMax(w) match {
+    case Completed(s)    => s
+    case EarlyTerminated => throw new IllegalStateException("unreachable: no threshold")
+  }
 
   /** Reference SO(Q, C) computed directly from the similarity function —
-    * used by tests, the baseline, and the Spark verification UDF.
+    * used by tests, the reference and the Spark verification UDF.
     */
   def semanticOverlapDirect(qTokens: Array[String], cTokens: Array[String],
-                            simFn: TokenSimilarity, alpha: Double): Double = {
-    val g = buildGraph(cTokens, directEdges(qTokens, simFn, alpha))
-    semanticOverlap(g) match {
-      case Completed(s)    => s
-      case EarlyTerminated => throw new IllegalStateException("unreachable: no threshold")
-    }
-  }
+                            simFn: TokenSimilarity, alpha: Double): Double =
+    score(directWeights(qTokens, cTokens, simFn, alpha))
 
   /** Greedy lower bound computed directly (used to seed θ in the Spark
     * DataFrame pipeline).
     */
   def greedyDirect(qTokens: Array[String], cTokens: Array[String],
                    simFn: TokenSimilarity, alpha: Double): Double =
-    greedyScore(buildGraph(cTokens, directEdges(qTokens, simFn, alpha)))
+    greedyScore(directWeights(qTokens, cTokens, simFn, alpha))
+
+  private def directWeights(qTokens: Array[String], cTokens: Array[String],
+                            simFn: TokenSimilarity, alpha: Double): Array[Array[Double]] =
+    weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true)
 }

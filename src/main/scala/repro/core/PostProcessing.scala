@@ -36,13 +36,7 @@ object PostProcessing {
           deadlineNanos: Long): PostProcessingOutput = {
 
     val topkLb = refinement.topkLb
-    val edgesOf: String => Array[(Int, Double)] =
-      t => refinement.edgeCache.getOrElse(t, PostProcessing.NoEdges)
-    // The paper's kernel builds the full |Q|×|C| similarity matrix from the
-    // refinement-phase cache; reducedGraphs switches to the edge-reduced one.
-    def graphOf(idx: Int): Matching.Graph =
-      if (params.reducedGraphs) Matching.buildGraph(records(idx).tokens, edgesOf)
-      else Matching.buildFullGraph(query.length, records(idx).tokens, edgesOf)
+    val weightsOf = matrices(records, refinement, query, params)
 
     final class PostSet(val idx: Int, var lb: Double, var ub: Double) {
       var checked = false
@@ -105,7 +99,7 @@ object PostProcessing {
           best.checked = true
           noEm += 1
         } else {
-          Matching.semanticOverlap(graphOf(best.idx), topkLb.threshold) match {
+          Matching.hungarianMax(weightsOf(best.idx), topkLb.threshold) match {
             case EarlyTerminated =>
               emEarly += 1
               lub -= best // SO < θ_lb ≤ θ_k*: out of every top-k result.
@@ -131,18 +125,52 @@ object PostProcessing {
     // Finalize: attach exact scores to No-EM-accepted results so every
     // returned score is exact (needed by the distributed top-k merge).
     val results = lub.map { c =>
-      if (c.exact) ScoredSet(records(c.idx).id, c.ub, exact = true)
-      else if (params.finalizeScores) {
-        val so = Matching.semanticOverlap(graphOf(c.idx)) match {
-          case Completed(s)    => s
-          case EarlyTerminated => throw new IllegalStateException("unreachable")
-        }
+      if (c.exact) ScoredSet(records(c.idx).id, c.ub)
+      else {
         finalized += 1
-        ScoredSet(records(c.idx).id, so, exact = true)
-      } else ScoredSet(records(c.idx).id, c.ub, exact = false)
+        ScoredSet(records(c.idx).id, Matching.score(weightsOf(c.idx)))
+      }
     }.sortBy(r => (-r.score, r.id)).toSeq
 
     PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut)
+  }
+
+  /** The baselines' verification (§VIII-A4): an exact matching for every
+    * candidate the candidate phase passes on, in its order, keeping the top k.
+    * No bound is used, so each candidate costs one completed matching.
+    */
+  def verifyAll(records: IndexedSeq[SetRecord],
+                candidates: RefinementOutput,
+                query: Array[String],
+                params: KoiosParams,
+                deadlineNanos: Long): PostProcessingOutput = {
+    val weightsOf = matrices(records, candidates, query, params)
+    val topk = mutable.PriorityQueue.empty[ScoredSet](Ordering.by(r => (-r.score, r.id)))
+    var emDone = 0
+    var timedOut = candidates.timedOut
+    val it = candidates.survivors.iterator
+    while (it.hasNext && !timedOut) {
+      val idx = it.next().idx
+      val so = Matching.score(weightsOf(idx))
+      emDone += 1
+      if (so > 0.0) {
+        topk.enqueue(ScoredSet(records(idx).id, so))
+        if (topk.size > params.k) topk.dequeue()
+      }
+      if (deadlineNanos > 0 && System.nanoTime() > deadlineNanos) timedOut = true
+    }
+    PostProcessingOutput(topk.toSeq.sortBy(r => (-r.score, r.id)), noEm = 0,
+      emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut)
+  }
+
+  /** Matrix builder over the candidate phase's edge cache: the paper's full
+    * |Q|×|C| matrix unless `reducedGraphs` is set.
+    */
+  private def matrices(records: IndexedSeq[SetRecord], candidates: RefinementOutput,
+                       query: Array[String], params: KoiosParams): Int => Array[Array[Double]] = {
+    val edgesOf: String => Array[(Int, Double)] =
+      t => candidates.edgeCache.getOrElse(t, NoEdges)
+    idx => Matching.weights(query.length, records(idx).tokens, edgesOf, params.reducedGraphs)
   }
 
   private val NoEdges = Array.empty[(Int, Double)]

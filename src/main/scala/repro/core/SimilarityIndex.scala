@@ -106,14 +106,13 @@ final class QGramPrefixIndex(vocab: Array[String], jaccard: JaccardQGramSimilari
 
 /** Index backed by precomputed (query token → neighbors) lists — used on
   * Spark executors where the similarity table was computed once as a
-  * DataFrame, collected, and broadcast (§VI scale-out).
+  * DataFrame, collected, and broadcast (§VI scale-out). The lists are sorted
+  * once, here, so a probe only applies the α filter.
   */
 final class PrecomputedSimilarityIndex(lists: Map[String, Array[(String, Double)]])
     extends SimilarityIndex {
-  override def neighbors(q: String, alpha: Double): Array[(String, Double)] = {
-    val xs = lists.getOrElse(q, Array.empty[(String, Double)]).filter(_._2 >= alpha)
-    scala.util.Sorting.stableSort(xs, (a: (String, Double), b: (String, Double)) =>
-      a._2 > b._2 || (a._2 == b._2 && a._1 < b._1))
-    xs
-  }
+  private val sorted = lists.map { case (q, xs) => q -> xs.sortBy { case (t, s) => (-s, t) } }
+
+  override def neighbors(q: String, alpha: Double): Array[(String, Double)] =
+    sorted.getOrElse(q, Array.empty[(String, Double)]).filter(_._2 >= alpha)
 }

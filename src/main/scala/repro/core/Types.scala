@@ -2,10 +2,11 @@ package repro.core
 
 /** A set in the repository: an id and its distinct string elements (tokens).
   *
-  * Tokens are deduplicated at construction so |C| is the set cardinality
-  * regardless of how the record was produced.
+  * The constructor is private: every record is built by the companion's
+  * factory, which deduplicates the tokens, so |C| is the set cardinality and
+  * no element can be matched twice, however the record was produced.
   */
-final case class SetRecord(id: Long, tokens: Array[String]) {
+final class SetRecord private (val id: Long, val tokens: Array[String]) extends Serializable {
   /** Set cardinality |C|. */
   def size: Int = tokens.length
   override def toString: String = s"SetRecord($id, ${tokens.mkString("{", ",", "}")})"
@@ -13,17 +14,12 @@ final case class SetRecord(id: Long, tokens: Array[String]) {
 
 object SetRecord {
   /** Builds a record with deduplicated tokens (stable order of first occurrence). */
-  def apply(id: Long, tokens: Iterable[String]): SetRecord =
-    new SetRecord(id, tokens.toSeq.distinct.toArray)
+  def apply(id: Long, tokens: IterableOnce[String]): SetRecord =
+    new SetRecord(id, tokens.iterator.distinct.toArray)
 }
 
-/** One result entry: a set id and its exact semantic overlap with the query.
-  *
-  * Sets admitted by the No-EM filter (Lemma 7) carry their bound interval
-  * instead of an exact score unless scores were finalized; `exact` records
-  * which case applies.
-  */
-final case class ScoredSet(id: Long, score: Double, exact: Boolean = true)
+/** One result entry: a set id and its exact semantic overlap with the query. */
+final case class ScoredSet(id: Long, score: Double)
 
 /** Filter/effort counters for one query, mirroring the paper's Tables II/IV/V.
   *
@@ -75,14 +71,27 @@ final case class SearchStats(
 /** A complete answer for one query: top-k entries (descending score) + stats. */
 final case class SearchResult(topk: Seq[ScoredSet], stats: SearchStats)
 
+object SearchResult {
+  /** Merges per-partition answers into the answer over the whole repository.
+    * Exact because each partition's top-k scores are exact and the global
+    * top-k lies in the union of the per-partition lists. Counts are summed;
+    * phase times are the per-partition maxima (the parallel-makespan view
+    * the paper reports). No partitions give an empty answer.
+    */
+  def merge(parts: Seq[SearchResult], k: Int): SearchResult = {
+    def slowest(f: SearchStats => Double): Double =
+      parts.map(r => f(r.stats)).maxOption.getOrElse(0.0)
+    SearchResult(
+      topk = parts.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(k),
+      stats = parts.map(_.stats).foldLeft(SearchStats())(_ + _)
+        .copy(refinementMs = slowest(_.refinementMs), postprocMs = slowest(_.postprocMs)))
+  }
+}
+
 /** Search parameters shared by Koios and the baselines.
   *
   * @param k           result size
   * @param alpha       element-similarity threshold α (edges below count as 0)
-  * @param finalizeScores when true, sets accepted by No-EM get an exact
-  *                    matching at the end so every returned score is exact
-  *                    (required for the distributed top-k merge); the extra
-  *                    matchings are counted in `finalizeEms`, not `emComputed`.
   * @param timeoutMs   per-query wall-clock budget; ≤0 disables. On timeout the
   *                    partial result is returned with `timedOut = true`.
   * @param reducedGraphs when false (default), verification builds the full
@@ -94,7 +103,6 @@ final case class SearchResult(topk: Seq[ScoredSet], stats: SearchStats)
 final case class KoiosParams(
     k: Int,
     alpha: Double,
-    finalizeScores: Boolean = true,
     timeoutMs: Long = 0L,
     reducedGraphs: Boolean = false) {
   require(k >= 1, s"k must be >= 1, got $k")

@@ -157,7 +157,7 @@ object SemanticData {
         toks += tokenName(concept, rngSets.nextInt(p.synonymsPerConcept))
         attempts += 1
       }
-      SetRecord(si.toLong, toks.toArray)
+      SetRecord(si.toLong, toks)
     }
 
     SemanticDataset(p, sets, embeddings.result())

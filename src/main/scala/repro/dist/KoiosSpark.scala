@@ -4,9 +4,6 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
 
-/** One partition's answer in encodable form. */
-final case class PartitionResult(topk: Seq[ScoredSet], stats: SearchStats)
-
 /** Distributed top-k semantic overlap search (§VI scale-out).
   *
   * Two engines:
@@ -44,9 +41,8 @@ object KoiosSpark {
       }.toMap)
   }
 
-  /** Distributed Koios. Returns the exact global top-k and merged stats
-    * (counts summed over partitions; phase times are the per-partition
-    * maxima, i.e. the parallel-makespan view the paper reports).
+  /** Distributed Koios. Returns the exact global top-k and the stats merged
+    * by [[SearchResult.merge]].
     */
   def topK(spark: SparkSession, setsDf: DataFrame, query: Seq[String],
            simFn: TokenSimilarity, params: KoiosParams,
@@ -55,33 +51,24 @@ object KoiosSpark {
     val q = query.distinct.toArray
     val simIdx = collectSimIndex(TokenSimJoin.simTable(setsDf, q, simFn, params.alpha), q)
     val bc = spark.sparkContext.broadcast(simIdx)
-    // Koios needs every returned score exact so partitions merge correctly.
-    val p = params.copy(finalizeScores = true)
 
-    val perPartition: Seq[PartitionResult] = setsDf
+    val perPartition = setsDf
       .select("id", "tokens")
       .as[SetRow]
       .repartition(numPartitions)
       .mapPartitions { it =>
-        val records = it.map(r => SetRecord(r.id, r.tokens.toArray)).toIndexedSeq
+        val records = it.map(r => SetRecord(r.id, r.tokens)).toIndexedSeq
         if (records.isEmpty) Iterator.empty
         else {
           val engine = new KoiosEngine(new SetCollection(records), bc.value)
-          Iterator.single {
-            val res = engine.search(q.toSeq, p)
-            PartitionResult(res.topk, res.stats)
-          }
+          Iterator.single(engine.search(q.toSeq, params))
         }
       }
       .collect()
       .toSeq
 
-    val topk = perPartition.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(params.k)
-    val counts = perPartition.map(_.stats).foldLeft(SearchStats())(_ + _)
-    val stats = counts.copy(
-      refinementMs = if (perPartition.isEmpty) 0 else perPartition.map(_.stats.refinementMs).max,
-      postprocMs = if (perPartition.isEmpty) 0 else perPartition.map(_.stats.postprocMs).max)
-    (topk, stats)
+    val merged = SearchResult.merge(perPartition, params.k)
+    (merged.topk, merged.stats)
   }
 
   /** Pure-DataFrame filter/verify pipeline. Returns `(id, so)` of the top-k,

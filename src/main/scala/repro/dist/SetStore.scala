@@ -27,7 +27,7 @@ object SetStore {
   /** Collects a repository DataFrame back to records (driver-side; tests). */
   def fromDF(df: DataFrame): IndexedSeq[SetRecord] = {
     df.select("id", "tokens").collect().toIndexedSeq.map { row =>
-      SetRecord(row.getLong(0), row.getSeq[String](1).toArray)
+      SetRecord(row.getLong(0), row.getSeq[String](1))
     }
   }
 

@@ -1,6 +1,6 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.TokenSimilarity
 

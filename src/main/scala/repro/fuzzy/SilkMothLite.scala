@@ -26,47 +26,15 @@ import repro.core._
 final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Double,
                          syntactic: Boolean) {
 
-  private val jaccard: Option[JaccardQGramSimilarity] = simFn match {
-    case j: JaccardQGramSimilarity => Some(j)
-    case _                         => None
-  }
-  require(!syntactic || jaccard.isDefined,
+  require(!syntactic || simFn.isInstanceOf[JaccardQGramSimilarity],
     "the syntactic variant's signature filters are Jaccard-specific")
 
-  // Gram inverted index over the vocabulary (signature probing target).
-  private lazy val gramIndex: mutable.HashMap[String, mutable.ArrayBuffer[String]] = {
-    val m = mutable.HashMap.empty[String, mutable.ArrayBuffer[String]]
-    val j = jaccard.get
-    repo.vocabulary.foreach { t =>
-      j.grams(t).foreach(g => m.getOrElseUpdate(g, new mutable.ArrayBuffer[String]()) += t)
-    }
-    m
+  // Vocabulary probe: prefix-filter signatures over token q-grams for the
+  // syntactic variant, a scan of the whole vocabulary for the semantic one.
+  private val index: SimilarityIndex = simFn match {
+    case j: JaccardQGramSimilarity if syntactic => new QGramPrefixIndex(repo.vocabulary, j)
+    case _ => new BruteForceSimilarityIndex(repo.vocabulary, simFn)
   }
-
-  /** Vocabulary tokens with `sim(q, t) ≥ α`, per query token. */
-  private def similarTokens(query: Array[String]): Array[Array[(String, Double)]] =
-    if (syntactic) {
-      val j = jaccard.get
-      query.map { q =>
-        val gs = j.grams(q).toArray.sorted
-        // Prefix filter: Jaccard(a, b) ≥ α needs a shared gram among the
-        // first |g(a)| − ceil(α·|g(a)|) + 1 grams (any fixed global order).
-        val prefixLen = gs.length - math.ceil(alpha * gs.length).toInt + 1
-        val cands = mutable.HashSet.empty[String]
-        gs.take(math.max(1, prefixLen)).foreach { g =>
-          gramIndex.get(g).foreach(cands ++= _)
-        }
-        cands += q // identical token, even if gram-prefix misses it
-        cands.iterator
-          .map(t => (t, simFn.sim(q, t)))
-          .filter(_._2 >= alpha)
-          .toArray
-          .sortBy { case (t, s) => (-s, t) }
-      }
-    } else {
-      val index = new BruteForceSimilarityIndex(repo.vocabulary, simFn)
-      query.map(q => index.neighbors(q, alpha))
-    }
 
   /** All sets with `SO(Q, C) ≥ theta` and their exact scores. */
   def thresholdSearch(queryTokens: Seq[String], theta: Double): Seq[ScoredSet] =
@@ -80,27 +48,16 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
       : (Seq[ScoredSet], Boolean) = {
     val deadline = if (timeoutMs > 0) System.nanoTime() + timeoutMs * 1000000L else 0L
     val query = queryTokens.distinct.toArray
-    val perQ = similarTokens(query)
-
-    // Edge lists keyed by vocabulary token (the verification matrix input).
-    val edges = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
-    perQ.zipWithIndex.foreach { case (ts, qi) =>
-      ts.foreach { case (t, s) =>
-        edges.getOrElseUpdate(t, new mutable.ArrayBuffer[(Int, Double)]()) += ((qi, s))
-      }
-    }
+    val cands = AllCandidates.run(repo.records, repo.inverted,
+      new TokenStream(query, index, alpha), query, deadline)
     val edgesOf: String => Array[(Int, Double)] =
-      t => edges.get(t).map(_.toArray).getOrElse(Array.empty)
+      t => cands.edgeCache.getOrElse(t, Array.empty[(Int, Double)])
 
-    val candIdxs = mutable.SortedSet.empty[Int]
-    edges.keysIterator.foreach(t => repo.inverted.get(t).foreach(candIdxs += _))
-
-    var timedOut = false
+    var timedOut = cands.timedOut
     val out = mutable.ArrayBuffer.empty[ScoredSet]
-    val it = candIdxs.iterator
+    val it = cands.survivors.iterator
     while (it.hasNext && !timedOut) {
-      val idx = it.next()
-      val rec = repo.records(idx)
+      val rec = repo.records(it.next().idx)
       val verify =
         if (!syntactic) true
         else {
@@ -114,11 +71,9 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
         }
       if (verify) {
         // Same kernel as the engines' default: full |Q|×|C| matrix (§VIII-A3).
-        Matching.semanticOverlap(
-          Matching.buildFullGraph(query.length, rec.tokens, edgesOf)) match {
-          case Completed(so) => if (so >= theta && so > 0.0) out += ScoredSet(rec.id, so)
-          case EarlyTerminated => throw new IllegalStateException("unreachable")
-        }
+        val w = Matching.weights(query.length, rec.tokens, edgesOf, reduced = false)
+        val so = Matching.score(w)
+        if (so >= theta && so > 0.0) out += ScoredSet(rec.id, so)
       }
       if (deadline > 0 && System.nanoTime() > deadline) timedOut = true
     }

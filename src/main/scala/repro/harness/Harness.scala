@@ -45,9 +45,8 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
 
   def similarity: TokenSimilarity = simFn
 
-  /** Runs `engineOf(partition)` on every partition in parallel and merges.
-    * Returned stats: counts summed, phase times = per-partition maxima
-    * (parallel makespan), memory summed. `wallMs` is the measured wall clock.
+  /** Runs `engineOf(partition)` on every partition in parallel and merges
+    * with [[SearchResult.merge]]. `wallMs` is the measured wall clock.
     */
   def run(query: Seq[String], params: KoiosParams,
           engineOf: (SetCollection, SimilarityIndex) => Seq[String] => SearchResult)
@@ -58,12 +57,8 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
     }
     val results = Await.result(Future.sequence(futures), Duration.Inf)
     val wallMs = (System.nanoTime() - t0) / 1e6
-    val topk = results.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(params.k)
-    val counts = results.map(_.stats).foldLeft(SearchStats())(_ + _)
-    val stats = counts.copy(
-      refinementMs = results.map(_.stats.refinementMs).max,
-      postprocMs = results.map(_.stats.postprocMs).max)
-    (topk, stats, wallMs)
+    val merged = SearchResult.merge(results, params.k)
+    (merged.topk, merged.stats, wallMs)
   }
 
   def runKoios(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =

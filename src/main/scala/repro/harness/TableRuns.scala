@@ -1,7 +1,6 @@
 package repro.harness
 
 import repro.core._
-import repro.data.SemanticData
 import repro.fuzzy.SilkMothLite
 
 /** One function per evaluation table: runs the experiment and renders a

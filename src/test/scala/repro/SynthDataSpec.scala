@@ -1,10 +1,9 @@
 package repro
 
-import org.apache.spark.sql.functions._
 import repro.data.SemanticData
 
-/** Checks for the provided TPC-H-lite generators and the tokenSets extension
-  * this reproduction adds (the schema the Koios paper evaluates on).
+/** Checks for the tokenSets corpus generator (the schema the Koios paper
+  * evaluates on).
   */
 class SynthDataSpec extends SparkSpec {
 
@@ -28,29 +27,5 @@ class SynthDataSpec extends SparkSpec {
   test("tokenSets ids are unique") {
     val df = SynthData.tokenSets(spark, SemanticData.tinyProfile)
     assert(df.select("id").distinct().count() == df.count())
-  }
-
-  test("lineitem generator has the expected columns and row count at tiny sf") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    assert(li.columns.contains("l_orderkey") && li.columns.contains("l_shipdate"))
-    assert(li.count() == 6000)
-  }
-
-  test("orders keys are dense 1..N") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val mm = o.agg(min("o_orderkey"), max("o_orderkey"), count(lit(1))).head
-    assert(mm.getLong(0) == 1L && mm.getLong(1) == mm.getLong(2))
-  }
-
-  test("zipfKeys are skewed (top key much more frequent than average)") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val freq = z.groupBy("k").count().orderBy(desc("count")).head.getLong(1)
-    assert(freq > 20000 / 1000 * 5)
-  }
-
-  test("uniformKeys stay within range") {
-    val u = SynthData.uniformKeys(spark, rows = 5000, nKeys = 100)
-    val mm = u.agg(min("k"), max("k")).head
-    assert(mm.getLong(0) >= 1L && mm.getLong(1) <= 101L)
   }
 }

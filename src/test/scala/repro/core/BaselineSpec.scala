@@ -85,6 +85,26 @@ class BaselineSpec extends AnyFunSuite {
     }
   }
 
+  test("both baselines report Koios' candidates and stream tuples") {
+    val rng = new Random(96)
+    for (trial <- 1 to 10) {
+      val f = TestData.fixture(rng)
+      val query = TestData.withDuplicate(
+        if (trial % 2 == 0) TestData.randomQuery(rng, f) else TestData.corpusQuery(rng, f))
+      val params = KoiosParams(3, 0.7)
+      val coll = new SetCollection(f.records)
+      val idx = new BruteForceSimilarityIndex(coll.vocabulary, f.simFn)
+      val k = new KoiosEngine(coll, idx).search(query.toSeq, params)
+      val (baseline, plus) = engines(f)
+      for (b <- Seq(baseline, plus)) {
+        val res = b.search(query.toSeq, params)
+        assert(res.stats.candidates == k.stats.candidates)
+        assert(res.stats.streamTuples == k.stats.streamTuples)
+        TestData.assertValidTopK(res.topk, f, query.toSeq, params.alpha, params.k)
+      }
+    }
+  }
+
   test("baseline timeout produces a flagged partial result") {
     val rng = new Random(95)
     val f = TestData.fixture(rng, nSets = 200, maxCard = 20)

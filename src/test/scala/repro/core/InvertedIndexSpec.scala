@@ -38,7 +38,7 @@ class InvertedIndexSpec extends AnyFunSuite {
   test("random corpus: membership equivalence") {
     val rng = new Random(40)
     val recs = IndexedSeq.tabulate(50) { i =>
-      SetRecord(i.toLong, rng.shuffle((0 until 30).map(j => s"w$j")).take(1 + rng.nextInt(10)).toArray)
+      SetRecord(i.toLong, rng.shuffle((0 until 30).map(j => s"w$j")).take(1 + rng.nextInt(10)))
     }
     val idx = InvertedIndex.build(recs)
     for (t <- idx.vocabulary) {
@@ -57,6 +57,12 @@ class InvertedIndexSpec extends AnyFunSuite {
     val r = SetRecord(1L, Seq("x", "y", "x", "z", "y"))
     assert(r.tokens.toSeq == Seq("x", "y", "z"))
     assert(r.size == 3)
+  }
+
+  test("SetRecord deduplicates array input and every fixture record") {
+    assert(SetRecord(1L, Array("w", "w", "v")).tokens.toSeq == Seq("w", "v"))
+    val f = TestData.fixture(new Random(57))
+    assert(f.records.forall(r => r.tokens.distinct.length == r.size))
   }
 
   test("SetCollection rejects duplicate ids") {

@@ -59,8 +59,7 @@ class MatchingSpec extends AnyFunSuite {
     val w = Array(
       Array(0.97, 0.95), // q1: c1, c2
       Array(0.96, 0.0)) // q2: c1
-    val g = Matching.Graph(Array(0, 1), w)
-    val greedy = Matching.greedyScore(g)
+    val greedy = Matching.greedyScore(w)
     val opt = score(Matching.hungarianMax(w))
     assert(math.abs(greedy - 0.97) < 1e-9)
     assert(math.abs(opt - 1.91) < 1e-9) // 0.95 + 0.96
@@ -102,8 +101,7 @@ class MatchingSpec extends AnyFunSuite {
       val rows = 1 + rng.nextInt(6)
       val cols = 1 + rng.nextInt(6)
       val w = randomMatrix(rng, rows, cols, sparsity = 0.4)
-      val g = Matching.Graph(Array.range(0, rows), w)
-      val greedy = Matching.greedyScore(g)
+      val greedy = Matching.greedyScore(w)
       val opt = bruteMax(w)
       assert(greedy <= opt + 1e-9)
       assert(greedy >= opt / 2.0 - 1e-9)
@@ -143,23 +141,33 @@ class MatchingSpec extends AnyFunSuite {
     }
   }
 
-  test("buildGraph keeps only nodes with at least one edge") {
-    val edges = Map(
-      "a" -> Array((0, 0.9)),
-      "b" -> Array((2, 0.8), (0, 0.85)))
-    val g = Matching.buildGraph(Array("a", "b", "zzz"),
-      t => edges.getOrElse(t, Array.empty[(Int, Double)]))
-    assert(g.qRows.toSeq == Seq(0, 2))
-    assert(g.w.length == 2) // rows: q0, q2
-    assert(g.w(0).length == 2) // cols: a, b  (zzz dropped)
-    assert(g.w(0)(0) == 0.9 && g.w(0)(1) == 0.85 && g.w(1)(1) == 0.8)
+  private val sparseEdges = Map(
+    "a" -> Array((0, 0.9)),
+    "b" -> Array((2, 0.8), (0, 0.85)))
+  private def sparseEdgesOf(t: String): Array[(Int, Double)] =
+    sparseEdges.getOrElse(t, Array.empty[(Int, Double)])
+
+  test("full weights span every query token and every candidate token") {
+    val w = Matching.weights(3, Array("zzz", "a", "b"), sparseEdgesOf, reduced = false)
+    assert(w.map(_.toSeq).toSeq == Seq(
+      Seq(0.0, 0.9, 0.85), // q0
+      Seq(0.0, 0.0, 0.0), // q1: no edge, still a row
+      Seq(0.0, 0.0, 0.8))) // q2
   }
 
-  test("buildGraph of edgeless candidate is empty; SO is 0") {
-    val g = Matching.buildGraph(Array("x", "y"), _ => Array.empty[(Int, Double)])
-    assert(g.isEmpty)
-    assert(Matching.semanticOverlap(g) == Completed(0.0))
-    assert(Matching.semanticOverlap(g, 0.5) == EarlyTerminated)
+  test("reduced weights keep only rows and columns with an edge") {
+    val w = Matching.weights(3, Array("b", "zzz", "a"), sparseEdgesOf, reduced = true)
+    // In order: rows q0, q2 (q1 dropped); cols b, a (zzz dropped).
+    assert(w.map(_.toSeq).toSeq == Seq(Seq(0.85, 0.9), Seq(0.8, 0.0)))
+  }
+
+  test("edgeless candidate gives the empty matrix; SO is 0") {
+    for (reduced <- Seq(false, true)) {
+      val w = Matching.weights(2, Array("x", "y"), _ => Array.empty[(Int, Double)], reduced)
+      assert(w.isEmpty)
+      assert(Matching.hungarianMax(w) == Completed(0.0))
+      assert(Matching.hungarianMax(w, 0.5) == EarlyTerminated)
+    }
   }
 
   test("semanticOverlapDirect reproduces the paper's Fig. 1 semantic ranking") {
@@ -232,8 +240,8 @@ class MatchingSpec extends AnyFunSuite {
       val q = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
       val c = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
       val edges = Matching.directEdges(q, simFn, 0.4)
-      val reduced = Matching.semanticOverlap(Matching.buildGraph(c, edges))
-      val full = Matching.semanticOverlap(Matching.buildFullGraph(q.length, c, edges))
+      val reduced = Matching.hungarianMax(Matching.weights(q.length, c, edges, reduced = true))
+      val full = Matching.hungarianMax(Matching.weights(q.length, c, edges, reduced = false))
       (reduced, full) match {
         case (Completed(a), Completed(b)) => assert(math.abs(a - b) < 1e-9)
         case other                        => fail(s"unexpected: $other")
@@ -253,7 +261,8 @@ class MatchingSpec extends AnyFunSuite {
       val so = Matching.semanticOverlapDirect(q, c, simFn, 0.4)
       val theta = rng.nextDouble() * 3
       if (math.abs(so - theta) > 1e-6) {
-        val out = Matching.semanticOverlap(Matching.buildFullGraph(q.length, c, edges), theta)
+        val w = Matching.weights(q.length, c, edges, reduced = false)
+        val out = Matching.hungarianMax(w, theta)
         if (so < theta) assert(out == EarlyTerminated)
         else assert(out.isInstanceOf[Completed])
       }

@@ -69,8 +69,7 @@ class PostProcessingSpec extends AnyFunSuite {
     for (_ <- 1 to 20) {
       val f = TestData.fixture(rng)
       val query = TestData.corpusQuery(rng, f)
-      val (_, post) = runBoth(f, query, KoiosParams(3, 0.7, finalizeScores = true))
-      assert(post.results.forall(_.exact))
+      val (_, post) = runBoth(f, query, KoiosParams(3, 0.7))
       val byId = f.records.map(r => r.id -> r).toMap
       post.results.foreach { r =>
         val so = Matching.semanticOverlapDirect(query.distinct, byId(r.id).tokens, f.simFn, 0.7)

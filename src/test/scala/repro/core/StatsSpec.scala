@@ -48,7 +48,18 @@ class StatsSpec extends AnyFunSuite {
       s.streamTuples == a.streamTuples)
   }
 
-  test("ScoredSet defaults to exact") {
-    assert(ScoredSet(1L, 2.0).exact)
+  test("merge of no partitions is the empty answer") {
+    val m = SearchResult.merge(Seq.empty, 3)
+    assert(m.topk.isEmpty)
+    assert(m.stats == SearchStats())
+  }
+
+  test("merge orders ties across partitions by id and keeps k") {
+    val p1 = SearchResult(Seq(ScoredSet(7L, 2.0), ScoredSet(2L, 1.0)), a)
+    val p2 = SearchResult(Seq(ScoredSet(3L, 2.0), ScoredSet(1L, 1.0)), b)
+    val m = SearchResult.merge(Seq(p1, p2), 3)
+    assert(m.topk == Seq(ScoredSet(3L, 2.0), ScoredSet(7L, 2.0), ScoredSet(1L, 1.0)))
+    assert(m.stats.candidates == 13 && m.stats.memBytes == 1500 && m.stats.timedOut)
+    assert(m.stats.refinementMs == 5.0 && m.stats.postprocMs == 7.0) // maxima, not sums
   }
 }

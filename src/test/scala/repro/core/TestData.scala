@@ -40,13 +40,18 @@ object TestData {
     val v = vocab.result()
     val records = IndexedSeq.tabulate(nSets) { i =>
       val card = 1 + rng.nextInt(maxCard)
-      SetRecord(i.toLong, rng.shuffle(v.toSeq).take(card))
+      val tokens = rng.shuffle(v.toSeq).take(card)
+      // Every fifth record arrives with a repeated token, as raw input may.
+      SetRecord(i.toLong, if (i % 5 == 0) tokens :+ tokens.head else tokens)
     }
     Fixture(records, new EmbeddingCosineSimilarity(emb.result()), v)
   }
 
   def randomQuery(rng: Random, f: Fixture, maxLen: Int = 8): Array[String] =
     rng.shuffle(f.vocab.toSeq).take(1 + rng.nextInt(maxLen)).toArray
+
+  /** `query` with its first token repeated, as raw input may arrive. */
+  def withDuplicate(query: Array[String]): Array[String] = query :+ query.head
 
   /** A query drawn from the repository itself (the benchmarks' protocol). */
   def corpusQuery(rng: Random, f: Fixture): Array[String] =

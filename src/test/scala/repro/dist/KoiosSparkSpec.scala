@@ -107,4 +107,16 @@ class KoiosSparkSpec extends SparkSpec {
       a.foreach { case (t, s) => assert(math.abs(s - bMap(t)) < 1e-9) }
     }
   }
+
+  test("distributed Koios matches a repeated row token once") {
+    import spark.implicits._
+    val simFn = new EmbeddingCosineSimilarity(Map(
+      "x" -> Array(1f, 0f), "x2" -> Array(1f, 0.1f), "w" -> Array(1f, 0.05f)))
+    val setsDf = Seq(SetRow(0L, Seq("w", "w")), SetRow(1L, Seq("v"))).toDF()
+    val (topk, _) = KoiosSpark.topK(spark, setsDf, Seq("x", "x2"), simFn, KoiosParams(1, 0.8), 2)
+    val trueSo = math.max(simFn.sim("x", "w"), simFn.sim("x2", "w"))
+    assert(topk.map(_.id) == Seq(0L))
+    assert(math.abs(topk.head.score - trueSo) < 1e-9, s"score ${topk.head.score} != $trueSo")
+    assert(SetStore.fromDF(setsDf).head.tokens.toSeq == Seq("w"))
+  }
 }
