@@ -42,6 +42,7 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Ser
 
     val t0 = System.nanoTime()
     val stream = new TokenStream(query, index, params.alpha)
+    val tStream = System.nanoTime()
     val cands = candidatePhase(stream, query, params, deadline)
     val t1 = System.nanoTime()
     val post = verifyPhase(cands, query, params, deadline)
@@ -64,7 +65,8 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Ser
         emComputed = post.emComputed,
         finalizeEms = post.finalizeEms,
         streamTuples = cands.streamTuples,
-        refinementMs = (t1 - t0) / 1e6,
+        probeMs = (tStream - t0) / 1e6,
+        refinementMs = (t1 - tStream) / 1e6,
         postprocMs = (t2 - t1) / 1e6,
         memBytes = mem,
         thetaLbFinal = cands.topkLb.threshold,

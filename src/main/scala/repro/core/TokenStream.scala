@@ -15,16 +15,14 @@ final case class StreamTuple(qIdx: Int, token: String, sim: Double)
   */
 final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Double)
     extends Iterator[StreamTuple] {
+  import TokenStream.Entry
+
   require(query.distinct.length == query.length, "query tokens must be distinct")
 
-  private final case class Entry(sim: Double, qIdx: Int, pos: Int)
-
   // Per query token: descending neighbor list (already α-filtered).
-  private val lists: Array[Array[(String, Double)]] =
-    query.map(q => index.neighbors(q, alpha))
+  private val lists: Array[Array[(String, Double)]] = index.neighborsAll(query, alpha)
 
-  private val pq = mutable.PriorityQueue.empty[Entry](
-    Ordering.by[Entry, (Double, Int)](e => (e.sim, -e.qIdx)))
+  private val pq = mutable.PriorityQueue.empty[Entry](Entry.ByNext)
 
   private var emitted = 0L
 
@@ -48,4 +46,17 @@ final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Dou
 
   /** Aggregate buffered-list size — the O(|D|·|Q|) term of §VII-B. */
   def bufferedPairs: Long = lists.map(_.length.toLong).sum
+}
+
+object TokenStream {
+  /** The next unseen neighbour `pos` of query token `qIdx`, with its similarity. */
+  private final case class Entry(sim: Double, qIdx: Int, pos: Int)
+
+  private object Entry {
+    /** Higher similarity first, then lower query position. */
+    val ByNext: Ordering[Entry] = (a, b) => {
+      val c = java.lang.Double.compare(a.sim, b.sim)
+      if (c != 0) c else Integer.compare(b.qIdx, a.qIdx)
+    }
+  }
 }

@@ -33,6 +33,10 @@ final case class ScoredSet(id: Long, score: Double)
   *  - `finalizeEms`      — matchings run solely to attach exact scores to
   *                         No-EM-accepted results (distributed merge needs
   *                         comparable scores); kept out of the filter counts.
+  *
+  * Phase times: `probeMs` builds the token stream (probing the similarity
+  * index), `refinementMs` is the candidate phase after it, `postprocMs` the
+  * verify phase.
   */
 final case class SearchStats(
     candidates: Int = 0,
@@ -43,13 +47,14 @@ final case class SearchStats(
     emComputed: Int = 0,
     finalizeEms: Int = 0,
     streamTuples: Long = 0L,
+    probeMs: Double = 0.0,
     refinementMs: Double = 0.0,
     postprocMs: Double = 0.0,
     memBytes: Long = 0L,
     thetaLbFinal: Double = 0.0,
     timedOut: Boolean = false) {
 
-  def totalMs: Double = refinementMs + postprocMs
+  def totalMs: Double = probeMs + refinementMs + postprocMs
 
   /** Element-wise sum, for aggregating over a query benchmark. */
   def +(o: SearchStats): SearchStats = SearchStats(
@@ -61,6 +66,7 @@ final case class SearchStats(
     emComputed + o.emComputed,
     finalizeEms + o.finalizeEms,
     streamTuples + o.streamTuples,
+    probeMs + o.probeMs,
     refinementMs + o.refinementMs,
     postprocMs + o.postprocMs,
     memBytes + o.memBytes,
@@ -84,7 +90,8 @@ object SearchResult {
     SearchResult(
       topk = parts.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(k),
       stats = parts.map(_.stats).foldLeft(SearchStats())(_ + _)
-        .copy(refinementMs = slowest(_.refinementMs), postprocMs = slowest(_.postprocMs)))
+        .copy(probeMs = slowest(_.probeMs), refinementMs = slowest(_.refinementMs),
+          postprocMs = slowest(_.postprocMs)))
   }
 }
 

@@ -136,6 +136,7 @@ class KoiosExactnessSpec extends AnyFunSuite {
     val f = TestData.fixture(rng)
     val query = TestData.corpusQuery(rng, f)
     val res = engine(f).search(query.toSeq, KoiosParams(3, 0.7))
+    assert(res.stats.probeMs > 0.0)
     assert(res.stats.refinementMs >= 0.0)
     assert(res.stats.postprocMs >= 0.0)
     assert(res.stats.memBytes > 0L)

@@ -136,4 +136,63 @@ class SimilarityIndexSpec extends AnyFunSuite {
     val idx = new BruteForceSimilarityIndex(Array("zz", "aa", "mm"), f)
     assert(idx.neighbors("aa", 0.5).map(_._1).toSeq == Seq("aa", "mm", "zz"))
   }
+
+  test("flat kernel scores equal dotClamped bit for bit") {
+    // 302 vocabulary tokens, every seventh without a vector, leaving an odd
+    // number of 7-dimensional vectors for the two-row kernel; 11 query tokens
+    // (not a multiple of four), among them tokens with a vector outside the
+    // vocabulary, without a vector, and unknown.
+    val rng = new Random(24)
+    val emb = clusteredEmbeddings(rng, 50, 7, dim = 7)
+    val simFn = new EmbeddingCosineSimilarity(emb)
+    val all = emb.keys.toArray.sorted
+    val vocab = all.take(302).zipWithIndex.map { case (t, i) => if (i % 7 == 3) s"bare$i" else t }
+    assert(vocab.count(simFn.vectors.contains) % 2 == 1)
+    val idx = new BruteForceSimilarityIndex(vocab, simFn)
+    val queries = vocab.take(6) ++ Array(all(302), all(303), "bare10", "bare17", "ghost")
+
+    def expected(q: String, alpha: Double): Seq[(String, Double)] =
+      simFn.vectors.get(q) match {
+        case None => if (vocab.contains(q)) Seq((q, 1.0)) else Nil
+        case Some(qv) =>
+          vocab.toSeq.map { t =>
+            val s =
+              if (t == q) 1.0
+              else simFn.vectors.get(t).fold(0.0)(EmbeddingCosineSimilarity.dotClamped(qv, _))
+            (t, s)
+          }.filter(_._2 >= alpha).sortBy { case (t, s) => (-s, t) }
+      }
+
+    for (alpha <- Seq(0.0, 0.3, 0.8, 0.95)) {
+      val batch = idx.neighborsAll(queries, alpha)
+      queries.zip(batch).foreach { case (q, got) =>
+        assert(got.toSeq == expected(q, alpha), s"q=$q alpha=$alpha")
+        assert(idx.neighbors(q, alpha).toSeq == got.toSeq)
+      }
+    }
+    assert(idx.neighbors(vocab(0), 0.3).length > 1)
+  }
+
+  test("a similarity outside [0, 1] or with sim(x, x) != 1 is rejected, naming the pair") {
+    def sim(f: (String, String) => Double): TokenSimilarity = new TokenSimilarity {
+      def sim(a: String, b: String): Double = f(a, b)
+    }
+    val vocab = Array("a", "b", "c")
+    val broken = Seq(
+      sim((a, b) => if (a == b) 1.0 else if (Set(a, b) == Set("a", "b")) 1.5 else 0.0) ->
+        "sim(a, b) = 1.5 is not in [0, 1]",
+      sim((a, b) => if (a == b) 1.0 else if (Set(a, b) == Set("a", "b")) Double.NaN else 0.0) ->
+        "sim(a, b) = NaN is not in [0, 1]",
+      sim((a, b) => if (a == b) 0.9 else 0.0) -> "sim(a, a) = 0.9, but sim(x, x) must be 1")
+    for ((f, message) <- broken) {
+      val idx = new BruteForceSimilarityIndex(vocab, f)
+      val e = intercept[IllegalArgumentException](idx.neighbors("a", 0.5))
+      assert(e.getMessage.contains(message))
+      // Unchecked, 1.5 would let SO exceed min(|Q|, |C|).
+      val repo = new SetCollection(IndexedSeq(SetRecord(1L, vocab)))
+      intercept[IllegalArgumentException](
+        new KoiosEngine(repo, new BruteForceSimilarityIndex(repo.vocabulary, f))
+          .search(Seq("a"), KoiosParams(1, 0.5)))
+    }
+  }
 }

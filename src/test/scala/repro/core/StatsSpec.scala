@@ -6,10 +6,10 @@ class StatsSpec extends AnyFunSuite {
 
   private val a = SearchStats(candidates = 10, iubPruned = 6, survivors = 4,
     noEm = 1, emEarlyTerminated = 2, emComputed = 1, finalizeEms = 1,
-    streamTuples = 100, refinementMs = 5.0, postprocMs = 7.0, memBytes = 1000,
+    streamTuples = 100, probeMs = 4.0, refinementMs = 5.0, postprocMs = 7.0, memBytes = 1000,
     thetaLbFinal = 2.5)
   private val b = SearchStats(candidates = 3, iubPruned = 1, survivors = 2,
-    noEm = 2, streamTuples = 10, refinementMs = 1.0, postprocMs = 2.0,
+    noEm = 2, streamTuples = 10, probeMs = 8.0, refinementMs = 1.0, postprocMs = 2.0,
     memBytes = 500, thetaLbFinal = 4.0, timedOut = true)
 
   test("stats sum adds counts element-wise") {
@@ -27,6 +27,7 @@ class StatsSpec extends AnyFunSuite {
 
   test("stats sum adds times and takes the max θ_lb") {
     val s = a + b
+    assert(math.abs(s.probeMs - 12.0) < 1e-12)
     assert(math.abs(s.refinementMs - 6.0) < 1e-12)
     assert(math.abs(s.postprocMs - 9.0) < 1e-12)
     assert(s.thetaLbFinal == 4.0)
@@ -37,8 +38,8 @@ class StatsSpec extends AnyFunSuite {
     assert(!(a + a).timedOut)
   }
 
-  test("totalMs is refinement + post-processing") {
-    assert(math.abs(a.totalMs - 12.0) < 1e-12)
+  test("totalMs is probe + refinement + post-processing") {
+    assert(math.abs(a.totalMs - 16.0) < 1e-12)
   }
 
   test("zero stats are the neutral element for counts") {
@@ -60,6 +61,7 @@ class StatsSpec extends AnyFunSuite {
     val m = SearchResult.merge(Seq(p1, p2), 3)
     assert(m.topk == Seq(ScoredSet(3L, 2.0), ScoredSet(7L, 2.0), ScoredSet(1L, 1.0)))
     assert(m.stats.candidates == 13 && m.stats.memBytes == 1500 && m.stats.timedOut)
-    assert(m.stats.refinementMs == 5.0 && m.stats.postprocMs == 7.0) // maxima, not sums
+    assert(m.stats.probeMs == 8.0 && m.stats.refinementMs == 5.0 &&
+      m.stats.postprocMs == 7.0) // maxima, not sums
   }
 }

@@ -45,6 +45,85 @@ class HarnessSpec extends AnyFunSuite {
     assert(stats.candidates == stats.iubPruned + stats.survivors)
     assert(wallMs > 0)
     assert(stats.refinementMs >= 0)
+    assert(stats.probeMs > 0) // the shared probe's wall time
+    assert(stats.probeMs + stats.refinementMs + stats.postprocMs <= wallMs)
+  }
+
+  private lazy val cosine = new EmbeddingCosineSimilarity(tiny.embeddings)
+
+  /** Queries that mix corpus tokens with tokens without a vector, tokens in
+    * no partition (with and without a vector) and repeated tokens.
+    */
+  private def hostileQueries: Seq[Seq[String]] = {
+    val vocab = tiny.sets.flatMap(_.tokens).toSet
+    val bare = vocab.filterNot(cosine.vectors.contains).toSeq.sorted
+    val vectorOnly = cosine.vectors.keySet.diff(vocab).toSeq.sorted.take(1)
+    assert(bare.nonEmpty)
+    val rng = new Random(152)
+    (1 to 4).map { i =>
+      val q = tiny.sets(rng.nextInt(tiny.sets.length)).tokens.toSeq
+      q ++ bare.drop(i).take(2) ++ vectorOnly ++ Seq("no-such-token", "t00001_9") ++ q.take(3)
+    }
+  }
+
+  /** Runs Koios through the shared probe and keeps, per partition, the view
+    * it was given and its result.
+    */
+  private def viewsAndResults(eng: PartitionedEngines, query: Seq[String], params: KoiosParams)
+      : IndexedSeq[(SimilarityIndex, SearchResult)] = {
+    val seen = new java.util.concurrent.ConcurrentHashMap[Int, (SimilarityIndex, SearchResult)]()
+    eng.run(query, params, (c, view) => q => {
+      val r = new KoiosEngine(c, view).search(q, params)
+      seen.put(eng.parts.indexWhere(_ eq c), (view, r))
+      r
+    })
+    eng.parts.indices.map(seen.get)
+  }
+
+  private def withoutTimes(s: SearchStats): SearchStats =
+    s.copy(probeMs = 0, refinementMs = 0, postprocMs = 0)
+
+  for ((label, sim, alpha) <- Seq(
+      ("cosine", None, 0.8),
+      ("3-gram Jaccard", Some(new JaccardQGramSimilarity(3)), 0.5));
+      p <- Seq(1, 3, 10)) {
+    test(s"$label, p = $p: each partition's view of the shared probe is its own index, bit for bit") {
+      val eng = new PartitionedEngines(tiny, p, simOverride = sim)
+      try {
+        val params = KoiosParams(5, alpha)
+        var longest = 0
+        for (query <- hostileQueries) {
+          val seen = viewsAndResults(eng, query, params)
+          eng.parts.zip(seen).foreach { case (part, (view, result)) =>
+            val own = eng.similarity match {
+              case j: JaccardQGramSimilarity => new QGramPrefixIndex(part.vocabulary, j)
+              case f                         => new BruteForceSimilarityIndex(part.vocabulary, f)
+            }
+            for (q <- query) {
+              val got = view.neighbors(q, alpha).toSeq
+              assert(got == own.neighbors(q, alpha).toSeq, s"token $q")
+              longest = math.max(longest, got.length)
+            }
+            val alone = new KoiosEngine(part, own).search(query, params)
+            assert(result.topk == alone.topk)
+            assert(withoutTimes(result.stats) == withoutTimes(alone.stats))
+          }
+        }
+        assert(longest >= 2, "every neighbour list held at most the token itself")
+      } finally eng.shutdown()
+    }
+  }
+
+  test("a similarity that breaks its contract fails the query") {
+    val broken = new TokenSimilarity {
+      def sim(a: String, b: String): Double = if (a == b) 1.0 else 1.5
+    }
+    val eng = new PartitionedEngines(tiny, 3, simOverride = Some(broken))
+    try {
+      val e = intercept[IllegalArgumentException](
+        eng.runKoios(tiny.sets.head.tokens.toSeq, KoiosParams(3, 0.8)))
+      assert(e.getMessage.contains("= 1.5 is not in [0, 1]"))
+    } finally eng.shutdown()
   }
 
   test("Agg averages exclude timed-out queries from time but counts them") {
@@ -55,6 +134,13 @@ class HarnessSpec extends AnyFunSuite {
     assert(agg.timeouts == 1)
     assert(math.abs(agg.candidates - 10.0) < 1e-9)
     assert(math.abs(agg.responseSec - 0.2) < 1e-9)
+  }
+
+  test("Agg refine time is the probe plus the candidate phase") {
+    val s = SearchStats(probeMs = 300, refinementMs = 200, postprocMs = 100)
+    val agg = Agg.of(Seq((s, 700.0)))
+    assert(math.abs(agg.refinementSec - 0.5) < 1e-12)
+    assert(math.abs(agg.postprocSec - 0.1) < 1e-12)
   }
 
   test("Agg percentage helpers") {
