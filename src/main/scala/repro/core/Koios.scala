@@ -30,10 +30,16 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Ser
                             params: KoiosParams, deadlineNanos: Long): PostProcessingOutput =
     PostProcessing.run(collection.records, candidates, query, params, deadlineNanos)
 
-  /** Estimated bytes of the per-candidate bound state the candidate phase kept. */
-  protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long =
-    SizeEst.ofCandidates(candidates.candidates, queryLen, avgMatched = 8.0) +
-      SizeEst.ofBuckets(candidates.survivors.length)
+  /** Estimated bytes of the bound state the candidate phase kept: its
+    * record- and token-indexed arrays, the matched bits of its candidates and
+    * one heap entry per candidate (more after iUB steps).
+    */
+  protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long = {
+    val records = collection.records.length
+    SizeEst.ofCandidates(records, collection.inverted.vocabularySize, candidates.candidates,
+      queryLen, avgCard = collection.inverted.totalPostings.toDouble / math.max(1, records)) +
+      SizeEst.ofBuckets(candidates.candidates)
+  }
 
   final def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
     val query = queryTokens.distinct.toArray

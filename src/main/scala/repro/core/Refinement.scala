@@ -32,16 +32,24 @@ final case class RefinementOutput(
   *  - `lb`: the partial greedy matching score (iLB, Lemma 5). Stream order is
   *    descending weight, so accepting every valid edge *is* the greedy
   *    matching. Initialized to the vanilla overlap |Q ∩ C| (§V).
-  *  - `ubScore`/`seenUB`: the sum of each element's first-seen (= maximum)
+  *  - `ubScore`/`m`: the sum of each element's first-seen (= maximum)
   *    similarity, capped at `min(|Q|,|C|)` elements, giving the sound
   *    incremental upper bound `iUB = ubScore + m·s` with
   *    `m = min(|Q|,|C|) − seenUB` and `s` the current stream similarity
   *    (see DESIGN.md §1 for the Lemma 6 soundness fix).
   *
-  * Candidates are bucketized by `m`; each bucket is ordered ascending by
-  * `ubScore` so the prune condition `ubScore < θ_lb − m·s` is a prefix scan.
+  * Candidates are bucketized by `m`; each bucket is a min-heap on `ubScore`
+  * so the prune condition `ubScore < θ_lb − m·s` pops a prefix.
+  *
+  * The state is primitive and indexed by record: one `idOf` per stream tuple,
+  * then only array reads. Each streamed token's postings carry its position in
+  * each set, which addresses the set's matched-element bit.
   */
 object Refinement {
+
+  private final val Unseen: Byte = 0
+  private final val Live: Byte = 1
+  private final val Pruned: Byte = 2
 
   def run(records: IndexedSeq[SetRecord],
           inverted: InvertedIndex,
@@ -50,64 +58,65 @@ object Refinement {
           params: KoiosParams,
           deadlineNanos: Long): RefinementOutput = {
 
-    val qTokenSet: Map[String, Int] = query.zipWithIndex.toMap
     val topkLb = new TopKList(params.k)
 
-    final class Cand(val idx: Int, val minQC: Int) {
-      var lb: Double = 0.0
-      var ubScore: Double = 0.0
-      var seenUB: Int = 0
-      val matchedQ = new java.util.BitSet(query.length)
-      val matchedTokens = mutable.HashSet.empty[String]
-      def m: Int = minQC - seenUB
-      def ubAt(s: Double): Double = ubScore + m * s
+    // Query position of each token id, -1 for tokens outside the query.
+    val qPos = Array.fill(inverted.vocabularySize)(-1)
+    query.indices.foreach { qi =>
+      val id = inverted.idOf(query(qi))
+      if (id >= 0) qPos(id) = qi
     }
 
-    val cands = mutable.HashMap.empty[Int, Cand]
-    val pruned = new java.util.BitSet(records.length)
-    val admitted = new java.util.BitSet(records.length)
-    val seenTokensGlobal = mutable.HashSet.empty[String]
+    // Candidate state by record. `m` is min(|Q|,|C|) minus the elements seen.
+    val state = new Array[Byte](records.length)
+    val lb = new Array[Double](records.length)
+    val ubScore = new Array[Double](records.length)
+    val m = new Array[Int](records.length)
+    // Matched bits of each admitted candidate, from word `bitsAt(idx)` of the
+    // slab: `qWords` words of matched query positions, then one bit per set
+    // element. The slab grows per candidate, so no N·|Q| bit set exists.
+    val bitsAt = new Array[Int](records.length)
+    val qWords = (query.length + 63) >>> 6
+    var slab = new Array[Long](1024)
+    var slabUsed = 0
+    def isSet(word: Int, bit: Int): Boolean = (slab(word + (bit >>> 6)) & (1L << bit)) != 0L
+    def setBit(word: Int, bit: Int): Unit = slab(word + (bit >>> 6)) |= 1L << bit
+
     val edgeCache = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
 
-    // Buckets: m → candidates ordered ascending by (ubScore, idx).
-    val buckets = mutable.HashMap.empty[Int, mutable.TreeSet[(Double, Int)]]
-    def bucketAdd(c: Cand): Unit =
-      buckets.getOrElseUpdate(c.m, mutable.TreeSet.empty[(Double, Int)]).add((c.ubScore, c.idx))
-    def bucketRemove(c: Cand, mOld: Int, ubOld: Double): Unit =
-      buckets.get(mOld).foreach { t => t.remove((ubOld, c.idx)); if (t.isEmpty) buckets.remove(mOld) }
+    // Buckets by m ∈ 0..|Q|: min-heaps of (ubScore, idx) with lazy deletion.
+    // An entry is live iff its set is live with that m; each iUB step pushes
+    // the set into bucket m − 1, so a set has exactly one live entry.
+    val buckets = new Array[Bucket](query.length + 1)
+    def bucketAdd(idx: Int): Unit = {
+      if (buckets(m(idx)) == null) buckets(m(idx)) = new Bucket
+      buckets(m(idx)).push(ubScore(idx), idx)
+    }
 
     var nCandidates = 0
     var nPruned = 0
     var timedOut = false
 
-    def pruneCandidate(idx: Int): Unit = {
-      cands.remove(idx)
-      pruned.set(idx)
-      nPruned += 1
-    }
-
-    /** Prefix-scan every bucket against the current θ_lb and stream sim.
+    /** Pops every bucket's live entries below θ_lb − m·s, for m upward until
+      * that bound is ≤ 0 (it falls with m); stale heads are dropped on the way.
       * Pruning gets [[Matching.PruneEps]] slack — see its doc comment.
       */
     def scanBuckets(s: Double): Unit = {
       val theta = topkLb.threshold
-      if (theta <= 0.0) return
-      val ms = buckets.keysIterator.toArray
-      var bi = 0
-      while (bi < ms.length) {
-        val m = ms(bi)
-        val bound = theta - m * s - Matching.PruneEps
-        if (bound > 0.0) {
-          val tree = buckets(m)
-          var continue = true
-          while (continue && tree.nonEmpty) {
-            val head = tree.head
-            if (head._1 < bound) { tree.remove(head); pruneCandidate(head._2) }
-            else continue = false
-          }
-          if (tree.isEmpty) buckets.remove(m)
+      var bm = 0
+      var bound = theta - Matching.PruneEps
+      while (bound > 0.0 && bm < buckets.length) {
+        val heap = buckets(bm)
+        var scanning = heap != null
+        while (scanning && heap.size > 0) {
+          val idx = heap.headIdx
+          val live = state(idx) == Live && m(idx) == bm
+          if (!live) heap.pop()
+          else if (heap.headUb < bound) { heap.pop(); state(idx) = Pruned; nPruned += 1 }
+          else scanning = false
         }
-        bi += 1
+        bm += 1
+        bound = theta - bm * s - Matching.PruneEps
       }
     }
 
@@ -115,76 +124,75 @@ object Refinement {
     while (stream.hasNext && !timedOut) {
       val tup = stream.next()
       tupleCount += 1
-      val token = tup.token
+      val qi = tup.qIdx
       val s = tup.sim
 
-      edgeCache.getOrElseUpdate(token, new mutable.ArrayBuffer[(Int, Double)]()) +=
-        ((tup.qIdx, s))
-      val firstArrival = seenTokensGlobal.add(token)
-      val isQueryToken = qTokenSet.contains(token)
+      val firstArrival = !edgeCache.contains(tup.token)
+      edgeCache.getOrElseUpdate(tup.token, new mutable.ArrayBuffer[(Int, Double)]()) += ((qi, s))
 
-      val posting = inverted.get(token)
-      var p = 0
-      while (p < posting.length) {
-        val idx = posting(p)
-        if (!pruned.get(idx)) {
-          cands.get(idx) match {
-            case None =>
-              if (!admitted.get(idx)) {
-                // First token of this set: admit with vanilla-overlap init.
-                admitted.set(idx)
-                nCandidates += 1
-                val rec = records(idx)
-                val c = new Cand(idx, math.min(query.length, rec.size))
-                var v = 0
-                var ti = 0
-                while (ti < rec.tokens.length) {
-                  val t = rec.tokens(ti)
-                  qTokenSet.get(t) match {
-                    case Some(qi) =>
-                      v += 1
-                      c.matchedQ.set(qi)
-                      c.matchedTokens += t
-                    case None => ()
-                  }
-                  ti += 1
-                }
-                c.lb = v.toDouble
-                c.ubScore = v.toDouble
-                c.seenUB = v // v ≤ |Q ∩ C| ≤ minQC
-                // The admitting tuple itself (skip if pre-counted as vanilla).
-                if (!isQueryToken) {
-                  if (c.seenUB < c.minQC) { c.ubScore += s; c.seenUB += 1 }
-                  if (!c.matchedQ.get(tup.qIdx) && !c.matchedTokens.contains(token)) {
-                    c.lb += s; c.matchedQ.set(tup.qIdx); c.matchedTokens += token
-                  }
-                }
-                // UB-Filter on arrival (Lemma 2 / initial iUB).
-                if (c.ubAt(s) < topkLb.threshold - Matching.PruneEps) {
-                  pruned.set(idx); nPruned += 1
-                }
-                else {
-                  cands.put(idx, c)
-                  bucketAdd(c)
-                  topkLb.update(idx.toLong, c.lb)
-                }
+      val id = inverted.idOf(tup.token)
+      if (id >= 0) {
+        val isQueryToken = qPos(id) >= 0
+        val posting = inverted.postingsOf(id)
+        val position = inverted.positionsOf(id)
+        var p = 0
+        while (p < posting.length) {
+          val idx = posting(p)
+          val pos = position(p)
+          if (state(idx) == Unseen) {
+            // First token of this set: admit with vanilla-overlap init.
+            nCandidates += 1
+            val toks = inverted.tokenIds(idx)
+            val at = slabUsed
+            val words = qWords + ((toks.length + 63) >>> 6)
+            if (at + words > slab.length)
+              slab = java.util.Arrays.copyOf(slab, math.max(2 * slab.length, at + words))
+            slabUsed += words
+            var v = 0
+            var ti = 0
+            while (ti < toks.length) {
+              val q = qPos(toks(ti))
+              if (q >= 0) { v += 1; setBit(at, q); setBit(at + qWords, ti) }
+              ti += 1
+            }
+            var l = v.toDouble
+            var u = v.toDouble
+            var mi = math.min(query.length, toks.length) - v // v ≤ |Q ∩ C| ≤ min(|Q|,|C|)
+            // The admitting tuple itself (skip if pre-counted as vanilla).
+            if (!isQueryToken) {
+              if (mi > 0) { u += s; mi -= 1 }
+              if (!isSet(at, qi) && !isSet(at + qWords, pos)) {
+                l += s; setBit(at, qi); setBit(at + qWords, pos)
               }
-            case Some(c) =>
-              // iUB: count this element's first-seen (max) similarity once.
-              if (firstArrival && !isQueryToken && c.seenUB < c.minQC) {
-                val mOld = c.m; val ubOld = c.ubScore
-                c.ubScore += s; c.seenUB += 1
-                bucketRemove(c, mOld, ubOld)
-                bucketAdd(c)
-              }
-              // iLB: extend the partial greedy matching with a valid edge.
-              if (!c.matchedQ.get(tup.qIdx) && !c.matchedTokens.contains(token)) {
-                c.lb += s; c.matchedQ.set(tup.qIdx); c.matchedTokens += token
-                topkLb.update(idx.toLong, c.lb)
-              }
+            }
+            // UB-Filter on arrival (Lemma 2 / initial iUB).
+            if (u + mi * s < topkLb.threshold - Matching.PruneEps) {
+              state(idx) = Pruned; nPruned += 1
+              java.util.Arrays.fill(slab, at, at + words, 0L)
+              slabUsed = at
+            }
+            else {
+              state(idx) = Live
+              lb(idx) = l; ubScore(idx) = u; m(idx) = mi; bitsAt(idx) = at
+              bucketAdd(idx)
+              topkLb.update(idx.toLong, l)
+            }
           }
+          else if (state(idx) == Live) {
+            // iUB: count this element's first-seen (max) similarity once.
+            if (firstArrival && !isQueryToken && m(idx) > 0) {
+              ubScore(idx) += s; m(idx) -= 1
+              bucketAdd(idx)
+            }
+            // iLB: extend the partial greedy matching with a valid edge.
+            val at = bitsAt(idx)
+            if (!isSet(at, qi) && !isSet(at + qWords, pos)) {
+              lb(idx) += s; setBit(at, qi); setBit(at + qWords, pos)
+              topkLb.update(idx.toLong, lb(idx))
+            }
+          }
+          p += 1
         }
-        p += 1
       }
 
       scanBuckets(s)
@@ -196,10 +204,14 @@ object Refinement {
     // Stream exhausted: unseen elements only have sub-α edges, so the final
     // upper bound is the capped sum of seen maxima; prune a last time.
     val theta = topkLb.threshold
-    val survivors = new mutable.ArrayBuffer[Survivor](cands.size)
-    cands.valuesIterator.foreach { c =>
-      if (c.ubScore < theta - Matching.PruneEps) nPruned += 1
-      else survivors += Survivor(c.idx, c.lb, c.ubScore)
+    val survivors = new mutable.ArrayBuffer[Survivor]()
+    var r = 0
+    while (r < records.length) {
+      if (state(r) == Live) {
+        if (ubScore(r) < theta - Matching.PruneEps) nPruned += 1
+        else survivors += Survivor(r, lb(r), ubScore(r))
+      }
+      r += 1
     }
 
     val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
@@ -213,5 +225,45 @@ object Refinement {
       iubPruned = nPruned,
       streamTuples = tupleCount,
       timedOut = timedOut)
+  }
+
+  /** A binary min-heap of (ubScore, record) entries on parallel arrays. */
+  private final class Bucket {
+    private var ubs = new Array[Double](16)
+    private var idxs = new Array[Int](16)
+    private var n = 0
+
+    def size: Int = n
+    def headUb: Double = ubs(0)
+    def headIdx: Int = idxs(0)
+
+    def push(ub: Double, idx: Int): Unit = {
+      if (n == ubs.length) {
+        ubs = java.util.Arrays.copyOf(ubs, 2 * n)
+        idxs = java.util.Arrays.copyOf(idxs, 2 * n)
+      }
+      var s = n
+      n += 1
+      while (s > 0 && ub < ubs((s - 1) / 2)) {
+        ubs(s) = ubs((s - 1) / 2); idxs(s) = idxs((s - 1) / 2); s = (s - 1) / 2
+      }
+      ubs(s) = ub; idxs(s) = idx
+    }
+
+    /** Removes the head. */
+    def pop(): Unit = {
+      n -= 1
+      val ub = ubs(n)
+      val idx = idxs(n)
+      var s = 0
+      var moving = true
+      while (moving) {
+        val l = 2 * s + 1
+        val c = if (l + 1 < n && ubs(l + 1) < ubs(l)) l + 1 else l
+        if (c < n && ubs(c) < ub) { ubs(s) = ubs(c); idxs(s) = idxs(c); s = c }
+        else moving = false
+      }
+      ubs(s) = ub; idxs(s) = idx
+    }
   }
 }

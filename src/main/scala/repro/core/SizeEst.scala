@@ -9,7 +9,7 @@ package repro.core
   *
   * Constants approximate a 64-bit JVM with compressed oops: strings cost
   * ~(40 + 2·len) bytes, boxed tuple entries in collections ~48 bytes, map
-  * entries ~40 bytes of overhead.
+  * entries ~40 bytes of overhead; primitive arrays cost their element width.
   */
 object SizeEst {
 
@@ -22,12 +22,19 @@ object SizeEst {
   def ofEdgeCache(cache: collection.Map[String, Array[(Int, Double)]]): Long =
     cache.iterator.map { case (t, es) => ofString(t) + 40L + es.length.toLong * 24L }.sum
 
-  /** Candidate bound states: matched-bit set + matched-token set + counters. */
-  def ofCandidates(nCandidates: Int, queryLen: Int, avgMatched: Double): Long =
-    nCandidates.toLong * (64L + queryLen / 8L + (avgMatched * 48L).toLong)
+  /** Candidate bound state of the refinement phase, as allocated: by record a
+    * state byte, `lb` and `ubScore` doubles and `m` and matched-bit offset
+    * ints (25 bytes); by vocabulary token its query position (4 bytes); by
+    * admitted candidate one bit per query position and one per set element,
+    * each rounded up to 64-bit words. No term grows with |records|·|Q|.
+    */
+  def ofCandidates(nRecords: Int, vocabSize: Int, nCandidates: Int, queryLen: Int,
+                   avgCard: Double): Long =
+    25L * nRecords + 4L * vocabSize +
+      8L * nCandidates * ((queryLen + 63) / 64 + math.ceil(avgCard / 64).toLong)
 
-  /** Bucket trees: one boxed (Double, Int) node per live candidate. */
-  def ofBuckets(nLive: Int): Long = nLive.toLong * 56L
+  /** Bucket heaps: a `Double` and an `Int` (12 bytes) per heap entry. */
+  def ofBuckets(nEntries: Long): Long = 12L * nEntries
 
   /** Post-processing lists: L_lb, L_ub (k entries) and Q_ub (survivors). */
   def ofPostProcessing(k: Int, survivors: Int): Long =

@@ -135,4 +135,41 @@ class RefinementSpec extends AnyFunSuite {
     assert(out.candidates == 0)
     assert(out.survivors.isEmpty)
   }
+
+  test("refinement takes every decision of the TreeSet oracle (differential)") {
+    val rng = new Random(69)
+    val alphas = Seq(0.5, 0.7, 0.8, 0.9)
+    for (trial <- 1 to 200) {
+      // Noise 0 gives identical vectors within a cluster: similarities tied at 1.
+      val f = TestData.fixture(rng, nSets = 10 + rng.nextInt(110), clusters = 3 + rng.nextInt(12),
+        maxCard = 2 + rng.nextInt(14), noise = Seq(0.0, 0.1, 0.25, 0.5)(trial % 4))
+      val coll = new SetCollection(f.records)
+      val index = new BruteForceSimilarityIndex(coll.vocabulary, f.simFn)
+      val set = TestData.corpusQuery(rng, f)
+      val queries = Seq(
+        "empty" -> Array.empty[String],
+        "|Q| = 1" -> Array(f.vocab(rng.nextInt(f.vocab.length))),
+        "out of vocabulary" -> Array("oov-a", "oov-b", "oov-c"),
+        "corpus tokens" -> TestData.randomQuery(rng, f),
+        "a set" -> set,
+        "a set and more" -> (set ++ TestData.randomQuery(rng, f) :+ "oov-a").distinct)
+      for (((name, query), qi) <- queries.zipWithIndex; (alpha, ai) <- alphas.zipWithIndex) {
+        // k cycles through 1..5 and one above the candidate count.
+        val k = Seq(1, 2, 3, 4, 5, f.records.length + 1)((trial + qi + ai) % 6)
+        val params = KoiosParams(k, alpha)
+        def stream = new TokenStream(query, index, alpha)
+        val got = Refinement.run(coll.records, coll.inverted, stream, query, params, 0L)
+        val want = RefinementOracle.run(coll.records, coll.inverted, stream, query, params, 0L)
+        val ctx = s"trial $trial, $name query ${query.mkString("{", ",", "}")}, k=$k, alpha=$alpha"
+        assert(got.survivors == want.survivors, ctx)
+        assert(got.candidates == want.candidates, ctx)
+        assert(got.iubPruned == want.iubPruned, ctx)
+        assert(got.streamTuples == want.streamTuples, ctx)
+        assert(got.topkLb.threshold == want.thetaLb, ctx)
+        assert(got.timedOut == want.timedOut, ctx)
+        assert(got.edgeCache.view.mapValues(_.toSeq).toMap ==
+          want.edgeCache.view.mapValues(_.toSeq).toMap, ctx)
+      }
+    }
+  }
 }

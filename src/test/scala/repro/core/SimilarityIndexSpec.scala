@@ -195,4 +195,20 @@ class SimilarityIndexSpec extends AnyFunSuite {
           .search(Seq("a"), KoiosParams(1, 0.5)))
     }
   }
+
+  test("a precomputed table with a value outside [0, 1] is rejected at construction, naming the pair") {
+    val good = Array(("a", 1.0), ("b", 0.8))
+    val broken = Seq(
+      Map("a" -> good, "q" -> Array(("b", 1.5))) -> "sim(q, b) = 1.5 is not in [0, 1]",
+      Map("a" -> Array(("a", 1.0), ("c", Double.NaN))) -> "sim(a, c) = NaN is not in [0, 1]",
+      Map("a" -> Array(("c", -0.1))) -> "sim(a, c) = -0.1 is not in [0, 1]",
+      Map("a" -> Array(("c", Double.PositiveInfinity))) -> "sim(a, c) = Infinity is not in [0, 1]")
+    for ((table, message) <- broken) {
+      val e = intercept[IllegalArgumentException](new PrecomputedSimilarityIndex(table))
+      assert(e.getMessage.contains(message))
+    }
+    // The bounds 0 and 1 themselves keep the contract.
+    val ok = new PrecomputedSimilarityIndex(Map("a" -> Array(("a", 1.0), ("c", 0.0))))
+    assert(ok.neighbors("a", 0.5).toSeq == Seq(("a", 1.0)))
+  }
 }

@@ -24,8 +24,25 @@ class SizeEstSpec extends AnyFunSuite {
   }
 
   test("candidate estimate grows with count and query length") {
-    assert(SizeEst.ofCandidates(100, 50, 8.0) > SizeEst.ofCandidates(10, 50, 8.0))
-    assert(SizeEst.ofCandidates(100, 500, 8.0) > SizeEst.ofCandidates(100, 50, 8.0))
+    assert(SizeEst.ofCandidates(1000, 500, 100, 50, 8.0) > SizeEst.ofCandidates(1000, 500, 10, 50, 8.0))
+    assert(SizeEst.ofCandidates(1000, 500, 100, 500, 8.0) > SizeEst.ofCandidates(1000, 500, 100, 50, 8.0))
+  }
+
+  test("candidate estimate is the allocated array widths") {
+    // 25 bytes per record, 4 per vocabulary token, and per candidate one
+    // 64-bit word per started 64 query positions and per started 64 elements.
+    assert(SizeEst.ofCandidates(0, 0, 0, 10, 8.0) == 0L)
+    assert(SizeEst.ofCandidates(1000, 0, 0, 10, 8.0) == 25000L)
+    assert(SizeEst.ofCandidates(0, 1000, 0, 10, 8.0) == 4000L)
+    assert(SizeEst.ofCandidates(0, 0, 1, 64, 64.0) == 16L)
+    assert(SizeEst.ofCandidates(0, 0, 1, 65, 64.5) == 32L)
+    // No term grows with records × |Q|.
+    assert(SizeEst.ofCandidates(1000000, 0, 0, 1000, 8.0) == SizeEst.ofCandidates(1000000, 0, 0, 1, 8.0))
+  }
+
+  test("bucket estimate is 12 bytes per heap entry") {
+    assert(SizeEst.ofBuckets(0) == 0L)
+    assert(SizeEst.ofBuckets(1000) == 12000L)
   }
 
   test("post-processing estimate grows with survivors and k") {

@@ -73,4 +73,37 @@ class TopKListSpec extends AnyFunSuite {
     assert(vs == vs.sorted(Ordering[Double].reverse))
     assert(vs.length == 5)
   }
+
+  test("matches a naive recomputation with frequent ties, large ids and re-entries") {
+    val rng = new Random(52)
+    for (k <- Seq(1, 3, 7, 64); base <- Seq(0L, Long.MaxValue - 200)) {
+      val l = new TopKList(k)
+      val truth = scala.collection.mutable.HashMap.empty[Long, Double]
+      var reentries = 0
+      for (step <- 1 to 2000) {
+        val id = base + rng.nextInt(2 * k + 20)
+        val old = truth.get(id)
+        // Values on a coarse grid (five levels at a time, slowly rising, so
+        // ties are frequent and evicted ids can climb back); an id's value
+        // never falls.
+        val v = math.max(old.getOrElse(0.0), 0.5 * (rng.nextInt(5) + step / 100))
+        val thetaBefore = l.threshold
+        if (old.isDefined && !l.entries.exists(_._1 == id) && v > thetaBefore) reentries += 1
+        truth(id) = v
+        val changed = l.update(id, v)
+        val sorted = truth.values.toSeq.sorted(Ordering[Double].reverse)
+        val expected = if (truth.size < k) 0.0 else sorted(k - 1)
+        val ctx = s"k=$k base=$base step $step"
+        assert(l.threshold == expected, ctx)
+        val es = l.entries
+        assert(es.length == l.size && l.size <= k, ctx)
+        assert(es.map(_._2) == es.map(_._2).sorted(Ordering[Double].reverse), ctx)
+        // The entries are the ids' current values and a top of their multiset.
+        es.foreach { case (i, x) => assert(truth(i) == x, ctx) }
+        assert(es.map(_._2) == sorted.take(k), ctx)
+        assert(changed == (l.threshold != thetaBefore), ctx)
+      }
+      assert(reentries > 0, s"k=$k: no evicted id re-entered")
+    }
+  }
 }
