@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.harness.{BenchSuite, Report, TableRuns}
+import repro.harness.{Report, TableRuns}
 
 /** Table III — response time and memory, Koios vs Baseline. Paper shape:
   * Koios is at least 5× faster overall (≥200× on DBLP/Twitter) and its

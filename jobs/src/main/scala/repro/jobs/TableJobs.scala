@@ -45,7 +45,7 @@ object FuzzyComparison {
   */
 object DistributedKoios {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("koios-distributed")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)

@@ -85,7 +85,7 @@ object Matching {
   private val NoWeights = Array.empty[Array[Double]]
 
   /** Direct edge lists between explicit token arrays (reference path for
-    * tests, oracles and the Spark verification UDF).
+    * tests and the brute-force reference).
     */
   def directEdges(qTokens: Array[String], simFn: TokenSimilarity, alpha: Double)
       : String => Array[(Int, Double)] = { (c: String) =>
@@ -97,31 +97,6 @@ object Matching {
       qi += 1
     }
     buf.toArray
-  }
-
-  /** Greedy matching score (Lemma 3 lower bound): repeatedly take the
-    * heaviest edge between unmatched nodes. Deterministic tie-breaking.
-    * At least half the optimal score [Vazirani 2001].
-    */
-  def greedyScore(w: Array[Array[Double]]): Double = {
-    val edges = new mutable.ArrayBuffer[(Double, Int, Int)]()
-    var i = 0
-    while (i < w.length) {
-      var j = 0
-      while (j < w(i).length) {
-        if (w(i)(j) > 0.0) edges += ((w(i)(j), i, j))
-        j += 1
-      }
-      i += 1
-    }
-    val sorted = edges.sortBy { case (s, i, j) => (-s, i, j) }
-    val mr = new Array[Boolean](w.length)
-    val mc = new Array[Boolean](if (w.isEmpty) 0 else w(0).length)
-    var score = 0.0
-    sorted.foreach { case (s, i, j) =>
-      if (!mr(i) && !mc(j)) { mr(i) = true; mc(j) = true; score += s }
-    }
-    score
   }
 
   /** Maximum-weight bipartite matching via Kuhn–Munkres with node labels and
@@ -222,20 +197,9 @@ object Matching {
   }
 
   /** Reference SO(Q, C) computed directly from the similarity function —
-    * used by tests, the reference and the Spark verification UDF.
+    * used by tests and the brute-force reference.
     */
   def semanticOverlapDirect(qTokens: Array[String], cTokens: Array[String],
                             simFn: TokenSimilarity, alpha: Double): Double =
-    score(directWeights(qTokens, cTokens, simFn, alpha))
-
-  /** Greedy lower bound computed directly (used to seed θ in the Spark
-    * DataFrame pipeline).
-    */
-  def greedyDirect(qTokens: Array[String], cTokens: Array[String],
-                   simFn: TokenSimilarity, alpha: Double): Double =
-    greedyScore(directWeights(qTokens, cTokens, simFn, alpha))
-
-  private def directWeights(qTokens: Array[String], cTokens: Array[String],
-                            simFn: TokenSimilarity, alpha: Double): Array[Array[Double]] =
-    weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true)
+    score(weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true))
 }

@@ -1,6 +1,6 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.SetRecord
 
 /** One repository row in DataFrame form. */
@@ -9,19 +9,14 @@ final case class SetRow(id: Long, tokens: Seq[String])
 /** DataFrame ⇄ [[SetRecord]] conversions for the repository.
   *
   * The canonical schema is `(id: Long, tokens: Array[String])`; `explode`
-  * gives the `(id, token)` shape the candidate-generation joins and the
-  * DuckDB oracle operate on.
+  * gives the `(id, token)` shape the vocabulary scan of [[TokenSimJoin]]
+  * operates on.
   */
 object SetStore {
 
   def toDF(spark: SparkSession, sets: Seq[SetRecord]): DataFrame = {
     import spark.implicits._
     sets.map(r => SetRow(r.id, r.tokens.toSeq)).toDF()
-  }
-
-  def toDS(spark: SparkSession, sets: Seq[SetRecord]): Dataset[SetRow] = {
-    import spark.implicits._
-    sets.map(r => SetRow(r.id, r.tokens.toSeq)).toDS()
   }
 
   /** Collects a repository DataFrame back to records (driver-side; tests). */

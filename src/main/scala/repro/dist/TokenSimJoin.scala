@@ -4,11 +4,10 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.TokenSimilarity
 
-/** The distributed scan+filter stages of semantic overlap search as a
-  * DataFrame pipeline: vocabulary extraction, a similarity UDF against the
-  * (broadcast) query, the α filter, candidate generation via join, and
-  * upper-bound seeds via aggregation. Every stage is Oracle-checkable with
-  * plain SQL over its inputs.
+/** The distributed scan+filter stage of semantic overlap search as
+  * DataFrames: vocabulary extraction, then a similarity UDF against the
+  * (broadcast) query and the α filter. [[KoiosSpark.topK]] collects the
+  * result into the similarity index its partitions stream from.
   */
 object TokenSimJoin {
 
@@ -37,33 +36,5 @@ object TokenSimJoin {
     vocabulary(setsDf)
       .select(col("token"), explode(edgesUdf(col("token"))).as("edge"))
       .select(col("token"), col("edge._1").as("q_idx"), col("edge._2").as("sim"))
-  }
-
-  /** Candidate sets: every set containing ≥1 token of the similarity table
-    * (non-zero semantic overlap, §III): `(id)`.
-    */
-  def candidates(setsDf: DataFrame, simTableDf: DataFrame): DataFrame =
-    SetStore.exploded(setsDf)
-      .join(simTableDf.select("token").distinct(), "token")
-      .select("id")
-      .distinct()
-
-  /** Per-candidate upper-bound seeds `(id, card, ub)`:
-    * `ub = Σ` of the top `min(|Q|, |C|)` per-token maximum similarities —
-    * the final (stream-exhausted) iUB of DESIGN.md §1, computed as one
-    * aggregation. Sound: any matching uses ≤ min(|Q|,|C|) candidate
-    * elements, each contributing at most its max similarity.
-    */
-  def ubSeeds(setsDf: DataFrame, simTableDf: DataFrame, queryLen: Int): DataFrame = {
-    val maxSim = simTableDf.groupBy("token").agg(max(col("sim")).as("msim"))
-    val cappedSum = udf { (sims: Seq[Double], card: Int) =>
-      sims.sorted(Ordering[Double].reverse).take(math.min(queryLen, card)).sum
-    }
-    SetStore.exploded(setsDf)
-      .join(maxSim, "token")
-      .groupBy(col("id"))
-      .agg(collect_list(col("msim")).as("msims"))
-      .join(setsDf.select(col("id"), size(col("tokens")).as("card")), "id")
-      .select(col("id"), col("card"), cappedSum(col("msims"), col("card")).as("ub"))
   }
 }

@@ -81,9 +81,8 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   def runKoios(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
     run(query, params, (c, i) => q => new KoiosEngine(c, i).search(q, params))
 
-  def runBaseline(query: Seq[String], params: KoiosParams, useIubFilter: Boolean = false)
-      : (Seq[ScoredSet], SearchStats, Double) =
-    run(query, params, (c, i) => q => new BaselineEngine(c, i, useIubFilter).search(q, params))
+  def runBaseline(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
+    run(query, params, (c, i) => q => new BaselineEngine(c, i).search(q, params))
 
   def shutdown(): Unit = pool.shutdown()
 }
@@ -148,9 +147,11 @@ object Agg {
   }
 }
 
-/** Plain-text table output: printed and appended under bench_results/. */
+/** Plain-text table output: printed and written under `bench_results/` of
+  * the working directory.
+  */
 object Report {
-  private val dir = new java.io.File("/root/repo/bench_results")
+  private val dir = new java.io.File("bench_results")
 
   def emit(name: String, lines: Seq[String]): Unit = {
     val text = lines.mkString("", "\n", "\n")

@@ -64,7 +64,7 @@ class KoiosExactnessSpec extends AnyFunSuite {
     val rng = new Random(73)
     val f = TestData.fixture(rng, nSets = 10)
     val query = TestData.randomQuery(rng, f, maxLen = 3)
-    val nonZero = Reference.allScores(f.records, query, f.simFn, 0.9).length
+    val nonZero = Reference.allScores(f.records, query.toSeq, f.simFn, 0.9).length
     val res = engine(f).search(query.toSeq, KoiosParams(25, 0.9))
     assert(res.topk.length == math.min(25, nonZero))
   }
@@ -85,7 +85,7 @@ class KoiosExactnessSpec extends AnyFunSuite {
       val f = TestData.fixture(rng)
       val query = TestData.corpusQuery(rng, f)
       val k = 3
-      val thetaStar = Reference.thetaKStar(f.records, query, f.simFn, 0.7, k)
+      val thetaStar = Reference.thetaKStar(f.records, query.toSeq, f.simFn, 0.7, k)
       val res = engine(f).search(query.toSeq, KoiosParams(k, 0.7))
       if (res.topk.length == k)
         assert(math.abs(res.topk.last.score - thetaStar) < 1e-9)

@@ -3,8 +3,9 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** Exhaustive-reference tests for the Hungarian kernel, the greedy matching,
-  * and the label-sum early-termination filter (Lemma 8).
+/** Exhaustive-reference tests for the Hungarian kernel, the greedy matching
+  * (refinement's lower bound), and the label-sum early-termination filter
+  * (Lemma 8).
   */
 class MatchingSpec extends AnyFunSuite {
 
@@ -54,18 +55,6 @@ class MatchingSpec extends AnyFunSuite {
     assert(math.abs(score(Matching.hungarianMax(w)) - 3.0) < 1e-9)
   }
 
-  test("greedy is suboptimal where Hungarian is not (paper Ex. 2 shape)") {
-    // Greedy takes (q1,c1)=0.97, blocking both 0.96 and 0.95; optimal crosses.
-    val w = Array(
-      Array(0.97, 0.95), // q1: c1, c2
-      Array(0.96, 0.0)) // q2: c1
-    val greedy = Matching.greedyScore(w)
-    val opt = score(Matching.hungarianMax(w))
-    assert(math.abs(greedy - 0.97) < 1e-9)
-    assert(math.abs(opt - 1.91) < 1e-9) // 0.95 + 0.96
-    assert(math.abs(opt - bruteMax(w)) < 1e-9)
-  }
-
   test("hungarian equals brute force on 300 random square matrices") {
     val rng = new Random(1)
     for (_ <- 1 to 300) {
@@ -96,15 +85,30 @@ class MatchingSpec extends AnyFunSuite {
   }
 
   test("greedy matching is between half-optimal and optimal (Lemma 3)") {
+    // The greedy matching is refinement's lower bound: one candidate set whose
+    // α-edges to the query are exactly the non-zero cells of w.
     val rng = new Random(4)
     for (_ <- 1 to 200) {
       val rows = 1 + rng.nextInt(6)
       val cols = 1 + rng.nextInt(6)
       val w = randomMatrix(rng, rows, cols, sparsity = 0.4)
-      val greedy = Matching.greedyScore(w)
+      val query = Array.tabulate(rows)(i => s"q$i")
+      val cTokens = Seq.tabulate(cols)(j => s"c$j")
+      val idx = new PrecomputedSimilarityIndex(query.indices.map { i =>
+        query(i) -> cTokens.indices.collect { case j if w(i)(j) > 0.0 => cTokens(j) -> w(i)(j) }.toArray
+      }.toMap)
+      val coll = new SetCollection(IndexedSeq(SetRecord(0L, cTokens)))
+      val alpha = 0.001
+      val out = Refinement.run(coll.records, coll.inverted, new TokenStream(query, idx, alpha),
+        query, KoiosParams(1, alpha), deadlineNanos = 0L)
       val opt = bruteMax(w)
-      assert(greedy <= opt + 1e-9)
-      assert(greedy >= opt / 2.0 - 1e-9)
+      if (opt == 0.0) assert(out.survivors.isEmpty)
+      else {
+        assert(out.survivors.length == 1)
+        val greedy = out.survivors.head.lb
+        assert(greedy <= opt + 1e-9)
+        assert(greedy >= opt / 2.0 - 1e-9)
+      }
     }
   }
 
@@ -266,19 +270,6 @@ class MatchingSpec extends AnyFunSuite {
         if (so < theta) assert(out == EarlyTerminated)
         else assert(out.isInstanceOf[Completed])
       }
-    }
-  }
-
-  test("greedyDirect is a lower bound of semanticOverlapDirect") {
-    val rng = new Random(9)
-    val vocab = (0 until 15).map(i => s"w$i").toArray
-    val emb = vocab.map(t => t -> Array.fill(8)(rng.nextGaussian().toFloat)).toMap
-    val simFn = new EmbeddingCosineSimilarity(emb)
-    for (_ <- 1 to 60) {
-      val q = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(6)).toArray
-      val c = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(6)).toArray
-      assert(Matching.greedyDirect(q, c, simFn, 0.4) <=
-        Matching.semanticOverlapDirect(q, c, simFn, 0.4) + 1e-9)
     }
   }
 }

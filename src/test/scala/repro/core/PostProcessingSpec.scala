@@ -26,7 +26,7 @@ class PostProcessingSpec extends AnyFunSuite {
       val query = TestData.corpusQuery(rng, f)
       val params = KoiosParams(4, 0.7)
       val (_, post) = runBoth(f, query, params)
-      val thetaStar = Reference.thetaKStar(f.records, query, f.simFn, params.alpha, params.k)
+      val thetaStar = Reference.thetaKStar(f.records, query.toSeq, f.simFn, params.alpha, params.k)
       post.results.foreach { r =>
         assert(r.score >= thetaStar - 1e-9)
       }
@@ -85,7 +85,7 @@ class PostProcessingSpec extends AnyFunSuite {
       val query = TestData.corpusQuery(rng, f)
       val params = KoiosParams(2, 0.6)
       val (_, post) = runBoth(f, query, params)
-      val ref = Reference.topK(f.records, query, f.simFn, params.alpha, params.k)
+      val ref = Reference.topK(f.records, query.toSeq, f.simFn, params.alpha, params.k)
       assert(post.results.length == ref.length)
       post.results.zip(ref).foreach { case (g, r) =>
         assert(math.abs(g.score - r.score) < 1e-9)

@@ -23,7 +23,7 @@ class RefinementSpec extends AnyFunSuite {
       val f = TestData.fixture(rng)
       val query = TestData.randomQuery(rng, f)
       val out = runRefinement(f, query, k = 3, alpha = 0.7)
-      val nonZero = Reference.allScores(f.records, query, f.simFn, 0.7).length
+      val nonZero = Reference.allScores(f.records, query.toSeq, f.simFn, 0.7).length
       assert(out.candidates == nonZero,
         s"admitted ${out.candidates} candidates but $nonZero sets have SO > 0")
     }
@@ -37,8 +37,8 @@ class RefinementSpec extends AnyFunSuite {
       val k = 1 + rng.nextInt(5)
       val alpha = Seq(0.5, 0.7, 0.8, 0.9)(rng.nextInt(4))
       val out = runRefinement(f, query, k, alpha)
-      val thetaStar = Reference.thetaKStar(f.records, query, f.simFn, alpha, k)
-      val mustKeep = Reference.allScores(f.records, query, f.simFn, alpha)
+      val thetaStar = Reference.thetaKStar(f.records, query.toSeq, f.simFn, alpha, k)
+      val mustKeep = Reference.allScores(f.records, query.toSeq, f.simFn, alpha)
         .filter(_.score > thetaStar + 1e-9) // strictly-above sets can never be pruned
         .map(_.id)
         .toSet
@@ -49,21 +49,49 @@ class RefinementSpec extends AnyFunSuite {
   }
 
   test("final bounds bracket the true SO: lb ≤ SO ≤ ub") {
+    // At stream end lb is the complete greedy matching, so it is also at
+    // least half the optimum (Lemma 3).
     val rng = new Random(62)
+    var checked = 0
     for (_ <- 1 to 30) {
       val f = TestData.fixture(rng)
       val query = TestData.randomQuery(rng, f)
-      val alpha = 0.7
-      val out = runRefinement(f, query, k = 3, alpha = alpha)
-      out.survivors.foreach { sv =>
-        val so = Matching.semanticOverlapDirect(
-          query, f.records(sv.idx).tokens, f.simFn, alpha)
-        assert(sv.lb <= so + 1e-9,
-          s"set ${sv.idx}: lb ${sv.lb} exceeds SO $so")
-        assert(sv.ub >= so - 1e-9,
-          s"set ${sv.idx}: ub ${sv.ub} below SO $so")
+      for (alpha <- Seq(0.5, 0.7, 0.8)) {
+        val out = runRefinement(f, query, k = 3, alpha = alpha)
+        out.survivors.foreach { sv =>
+          val so = Matching.semanticOverlapDirect(
+            query, f.records(sv.idx).tokens, f.simFn, alpha)
+          assert(sv.lb <= so + 1e-9,
+            s"set ${sv.idx}: lb ${sv.lb} exceeds SO $so")
+          assert(sv.lb >= so / 2.0 - 1e-9,
+            s"set ${sv.idx}: lb ${sv.lb} below SO/2 = ${so / 2.0}")
+          assert(sv.ub >= so - 1e-9,
+            s"set ${sv.idx}: ub ${sv.ub} below SO $so")
+          checked += 1
+        }
       }
     }
+    assert(checked > 0)
+  }
+
+  test("greedy lb is suboptimal where Hungarian is not (paper Ex. 2 shape)") {
+    // Greedy takes (q1,c1) = 0.97, blocking both 0.96 and 0.95; the optimum
+    // crosses: (q1,c2) + (q2,c1) = 0.95 + 0.96.
+    val coll = new SetCollection(IndexedSeq(SetRecord(0L, Seq("c1", "c2"))))
+    val idx = new PrecomputedSimilarityIndex(Map(
+      "q1" -> Array("c1" -> 0.97, "c2" -> 0.95),
+      "q2" -> Array("c1" -> 0.96)))
+    val query = Array("q1", "q2")
+    val params = KoiosParams(1, 0.9)
+    val out = Refinement.run(coll.records, coll.inverted, new TokenStream(query, idx, 0.9),
+      query, params, deadlineNanos = 0L)
+    assert(out.survivors.length == 1)
+    val sv = out.survivors.head
+    assert(math.abs(sv.lb - 0.97) < 1e-9, s"lb ${sv.lb}")
+    assert(math.abs(sv.ub - 1.92) < 1e-9, s"ub ${sv.ub}")
+    val so = PostProcessing.run(coll.records, out, query, params, deadlineNanos = 0L).results
+    assert(so.map(_.id) == Seq(0L))
+    assert(math.abs(so.head.score - 1.91) < 1e-9, s"SO ${so.head.score}")
   }
 
   test("lower bound is at least the vanilla overlap (§V initialization)") {
@@ -86,7 +114,7 @@ class RefinementSpec extends AnyFunSuite {
       val query = TestData.randomQuery(rng, f)
       val k = 1 + rng.nextInt(4)
       val out = runRefinement(f, query, k, 0.7)
-      val thetaStar = Reference.thetaKStar(f.records, query, f.simFn, 0.7, k)
+      val thetaStar = Reference.thetaKStar(f.records, query.toSeq, f.simFn, 0.7, k)
       assert(out.topkLb.threshold <= thetaStar + 1e-9)
     }
   }

@@ -100,13 +100,13 @@ class SimilarityIndexSpec extends AnyFunSuite {
   }
 
   test("precomputed index orders unsorted input with ties by token, leaving the input as given") {
-    val given = Array(("d", 0.8), ("a", 0.9), ("c", 0.8), ("b", 0.9), ("e", 0.5))
-    val idx = new PrecomputedSimilarityIndex(Map("q" -> given))
+    val input = Array(("d", 0.8), ("a", 0.9), ("c", 0.8), ("b", 0.9), ("e", 0.5))
+    val idx = new PrecomputedSimilarityIndex(Map("q" -> input))
     val all = Seq(("a", 0.9), ("b", 0.9), ("c", 0.8), ("d", 0.8), ("e", 0.5))
     assert(idx.neighbors("q", 0.5).toSeq == all)
     assert(idx.neighbors("q", 0.85).toSeq == all.take(2))
     assert(idx.neighbors("q", 0.5).toSeq == all) // a probe does not consume the list
-    assert(given.map(_._1).mkString == "dacbe")
+    assert(input.map(_._1).mkString == "dacbe")
   }
 
   test("q-gram prefix index agrees with brute force (completeness + exactness)") {

@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core._
 import scala.util.Random
 
-/** Exactness of the distributed engines against the brute-force reference. */
+/** Exactness of the distributed engine against the brute-force reference. */
 class KoiosSparkSpec extends SparkSpec {
 
   private def check(seed: Int, partitions: Int, k: Int, alpha: Double,
@@ -49,44 +49,6 @@ class KoiosSparkSpec extends SparkSpec {
     assert(stats.candidates == nonZero,
       s"partition-summed candidates ${stats.candidates} != $nonZero")
     assert(stats.candidates == stats.iubPruned + stats.survivors)
-  }
-
-  test("DataFrame pipeline (filtered) equals brute force") {
-    val rng = new Random(141)
-    for (trial <- 1 to 5) {
-      val f = TestData.fixture(rng, nSets = 40)
-      val query = TestData.corpusQuery(rng, f)
-      val k = 1 + rng.nextInt(5)
-      val setsDf = SetStore.toDF(spark, f.records)
-      val got = KoiosSpark.dataFramePipeline(spark, setsDf, query.toSeq, f.simFn,
-        KoiosParams(k, 0.7)).collect()
-        .map(r => ScoredSet(r.getAs[Long]("id"), r.getAs[Double]("so")))
-      TestData.assertValidTopK(got.toSeq, f, query.toSeq, 0.7, k)
-    }
-  }
-
-  test("DataFrame pipeline (verifyAll baseline) equals brute force") {
-    val rng = new Random(142)
-    val f = TestData.fixture(rng, nSets = 40)
-    val query = TestData.randomQuery(rng, f)
-    val k = 4
-    val setsDf = SetStore.toDF(spark, f.records)
-    val got = KoiosSpark.dataFramePipeline(spark, setsDf, query.toSeq, f.simFn,
-      KoiosParams(k, 0.7), verifyAll = true).collect()
-      .map(r => ScoredSet(r.getAs[Long]("id"), r.getAs[Double]("so")))
-    TestData.assertValidTopK(got.toSeq, f, query.toSeq, 0.7, k)
-  }
-
-  test("pipeline and distributed engine agree with each other") {
-    val rng = new Random(143)
-    val f = TestData.fixture(rng, nSets = 50)
-    val query = TestData.corpusQuery(rng, f)
-    val params = KoiosParams(5, 0.7)
-    val setsDf = SetStore.toDF(spark, f.records)
-    val (a, _) = KoiosSpark.topK(spark, setsDf, query.toSeq, f.simFn, params, 3)
-    val b = KoiosSpark.dataFramePipeline(spark, setsDf, query.toSeq, f.simFn, params)
-      .collect().map(r => r.getAs[Double]("so")).toSeq
-    assert(a.map(_.score).zip(b).forall { case (x, y) => math.abs(x - y) < 1e-9 })
   }
 
   test("collectSimIndex reproduces the brute-force token stream") {

@@ -1,13 +1,13 @@
 package repro.dist
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.core._
 import scala.util.Random
 
-/** Oracle-checked relational stages of the distributed pipeline: every stage
-  * is compared row-for-row against DuckDB SQL over the same inputs.
+/** The relational stages of the distributed engine — vocabulary, similarity
+  * table and the repository's DataFrame form — against direct computation
+  * over the same records.
   */
 class TokenSimJoinSpec extends SparkSpec {
 
@@ -19,12 +19,10 @@ class TokenSimJoinSpec extends SparkSpec {
   private lazy val simTableDf =
     TokenSimJoin.simTable(setsDf, query, fixture.simFn, alpha).cache()
 
-  test("vocabulary matches DuckDB DISTINCT over exploded tokens") {
-    val vocab = TokenSimJoin.vocabulary(setsDf)
-    Oracle.assertEquivalent(
-      vocab,
-      "SELECT DISTINCT token FROM set_tokens",
-      "set_tokens" -> SetStore.exploded(setsDf))
+  test("vocabulary is DISTINCT over exploded tokens") {
+    // Sorted sequences, not sets: a duplicate row would show.
+    val vocab = TokenSimJoin.vocabulary(setsDf).collect().map(_.getString(0)).toSeq.sorted
+    assert(vocab == fixture.records.flatMap(_.tokens).distinct.sorted)
   }
 
   test("simTable holds exactly the α-edges of the similarity function") {
@@ -40,67 +38,6 @@ class TokenSimJoinSpec extends SparkSpec {
       expected.map(x => (x._1, x._2)))
     val bySim = expected.map(x => (x._1, x._2) -> x._3).toMap
     rows.foreach { case (t, qi, s) => assert(math.abs(s - bySim((t, qi))) < 1e-9) }
-  }
-
-  test("candidates match DuckDB join semantics") {
-    val cands = TokenSimJoin.candidates(setsDf, simTableDf)
-    Oracle.assertEquivalent(
-      cands,
-      """SELECT DISTINCT st.id AS id
-        |FROM set_tokens st
-        |JOIN (SELECT DISTINCT token FROM sim_table) s USING (token)""".stripMargin,
-      "set_tokens" -> SetStore.exploded(setsDf),
-      "sim_table" -> simTableDf)
-  }
-
-  test("candidates are exactly the sets with non-zero SO") {
-    val got = TokenSimJoin.candidates(setsDf, simTableDf).collect().map(_.getLong(0)).toSet
-    val expected = Reference.allScores(fixture.records, query.toSeq, fixture.simFn, alpha)
-      .map(_.id).toSet
-    assert(got == expected)
-  }
-
-  test("ubSeeds match the DuckDB windowed capped sum") {
-    val ub = TokenSimJoin.ubSeeds(setsDf, simTableDf, query.length)
-    Oracle.assertEquivalent(
-      ub,
-      s"""WITH ms AS (SELECT token, MAX(CAST(sim AS DOUBLE)) AS msim
-         |            FROM sim_table GROUP BY token),
-         |     cards AS (SELECT id, COUNT(*) AS card FROM set_tokens GROUP BY id),
-         |     j AS (SELECT st.id, ms.msim,
-         |                  ROW_NUMBER() OVER (PARTITION BY st.id
-         |                                     ORDER BY ms.msim DESC, st.token) AS rn
-         |           FROM set_tokens st JOIN ms USING (token))
-         |SELECT j.id AS id, MAX(cards.card) AS card, SUM(j.msim) AS ub
-         |FROM j JOIN cards ON j.id = cards.id
-         |WHERE j.rn <= LEAST(${query.length}, cards.card)
-         |GROUP BY j.id""".stripMargin,
-      "set_tokens" -> SetStore.exploded(setsDf),
-      "sim_table" -> simTableDf)
-  }
-
-  test("ubSeeds upper-bound the true SO for every candidate") {
-    val ubs = TokenSimJoin.ubSeeds(setsDf, simTableDf, query.length).collect()
-      .map(r => r.getAs[Long]("id") -> r.getAs[Double]("ub")).toMap
-    val byId = fixture.records.map(r => r.id -> r).toMap
-    ubs.foreach { case (id, ub) =>
-      val so = Matching.semanticOverlapDirect(query, byId(id).tokens, fixture.simFn, alpha)
-      assert(ub >= so - 1e-9, s"set $id: ub $ub < SO $so")
-    }
-  }
-
-  test("vanilla overlap via DataFrame matches DuckDB") {
-    import spark.implicits._
-    val qDf = query.toSeq.toDF("token")
-    val vanilla = SetStore.exploded(setsDf).join(qDf, "token")
-      .groupBy("id").agg(count(lit(1)).as("overlap"))
-    Oracle.assertEquivalent(
-      vanilla,
-      """SELECT st.id AS id, COUNT(*) AS overlap
-        |FROM set_tokens st JOIN query_tokens q USING (token)
-        |GROUP BY st.id""".stripMargin,
-      "set_tokens" -> SetStore.exploded(setsDf),
-      "query_tokens" -> qDf)
   }
 
   test("SetStore round-trips records through a DataFrame") {

@@ -154,7 +154,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("Report writes bench_results files") {
     Report.emit("selftest", Seq("hello", "world"))
-    val f = new java.io.File("/root/repo/bench_results/selftest.txt")
+    val f = new java.io.File("bench_results/selftest.txt")
     assert(f.exists)
     val src = scala.io.Source.fromFile(f)
     try assert(src.mkString == "hello\nworld\n") finally src.close()
