@@ -72,6 +72,7 @@ object AllCandidates {
       topkLb = new TopKList(1), // stays empty: no lower bound, θ_lb = 0
       candidates = survivors.length,
       iubPruned = 0,
+      scanPruned = 0,
       streamTuples = tuples,
       timedOut = timedOut)
   }

@@ -13,7 +13,9 @@ final case class Survivor(idx: Int, lb: Double, ub: Double)
 
 /** Output of the refinement phase. `edgeCache` maps each streamed token to
   * its (qIdx, sim ≥ α) edges — the similarity cache the paper reuses to build
-  * matching matrices during post-processing (§VIII-A3).
+  * matching matrices during post-processing (§VIII-A3). `iubPruned` counts
+  * every refinement prune; `scanPruned` is the part of it made mid-stream by
+  * the bucket scan.
   */
 final case class RefinementOutput(
     survivors: IndexedSeq[Survivor],
@@ -21,6 +23,7 @@ final case class RefinementOutput(
     topkLb: TopKList,
     candidates: Int,
     iubPruned: Int,
+    scanPruned: Int,
     streamTuples: Long,
     timedOut: Boolean)
 
@@ -95,6 +98,7 @@ object Refinement {
 
     var nCandidates = 0
     var nPruned = 0
+    var nScanPruned = 0
     var timedOut = false
 
     /** Pops every bucket's live entries below θ_lb − m·s, for m upward until
@@ -112,7 +116,7 @@ object Refinement {
           val idx = heap.headIdx
           val live = state(idx) == Live && m(idx) == bm
           if (!live) heap.pop()
-          else if (heap.headUb < bound) { heap.pop(); state(idx) = Pruned; nPruned += 1 }
+          else if (heap.headUb < bound) { heap.pop(); state(idx) = Pruned; nScanPruned += 1 }
           else scanning = false
         }
         bm += 1
@@ -222,7 +226,8 @@ object Refinement {
       edgeCache = frozen,
       topkLb = topkLb,
       candidates = nCandidates,
-      iubPruned = nPruned,
+      iubPruned = nPruned + nScanPruned,
+      scanPruned = nScanPruned,
       streamTuples = tupleCount,
       timedOut = timedOut)
   }

@@ -1,62 +1,46 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** One token-stream tuple: query token position, vocabulary token, similarity. */
 final case class StreamTuple(qIdx: Int, token: String, sim: Double)
 
 /** The token stream `I_e` (§IV): emits `(q, t, sim(q, t))` tuples over the
   * whole vocabulary in globally descending similarity, stopping below `α`.
   *
-  * Realized exactly as in the paper: one shared [[SimilarityIndex]] over `D`
-  * and a priority queue of size |Q| holding, per query token, the next unseen
-  * most-similar vocabulary token. Popping an entry advances only that query
-  * token's stream. Ties are broken by (qIdx, token) so runs are deterministic.
+  * One shared [[SimilarityIndex]] over `D` returns every query token's whole
+  * descending neighbour list (already α-filtered) at once, so the paper's
+  * |Q|-way merge is one stable sort of all the lists' tuples by descending
+  * similarity, then query position: each list is sorted, so (−sim, qIdx,
+  * list position) is exactly the order the merge emits, and runs are
+  * deterministic.
   */
 final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Double)
     extends Iterator[StreamTuple] {
-  import TokenStream.Entry
 
   require(query.distinct.length == query.length, "query tokens must be distinct")
 
-  // Per query token: descending neighbor list (already α-filtered).
-  private val lists: Array[Array[(String, Double)]] = index.neighborsAll(query, alpha)
-
-  private val pq = mutable.PriorityQueue.empty[Entry](Entry.ByNext)
-
-  private var emitted = 0L
-
-  query.indices.foreach { qi =>
-    if (lists(qi).nonEmpty) pq.enqueue(Entry(lists(qi)(0)._2, qi, 0))
+  private val tuples: Array[StreamTuple] = {
+    val lists = index.neighborsAll(query, alpha)
+    val all = new Array[StreamTuple](lists.iterator.map(_.length).sum)
+    var i = 0
+    for (qi <- lists.indices; (t, s) <- lists(qi)) { all(i) = StreamTuple(qi, t, s); i += 1 }
+    // Stable, so equal similarities keep (qIdx, list position) order.
+    java.util.Arrays.sort(all, (a: StreamTuple, b: StreamTuple) => java.lang.Double.compare(b.sim, a.sim))
+    all
   }
 
-  override def hasNext: Boolean = pq.nonEmpty
+  private var emitted = 0
+
+  override def hasNext: Boolean = emitted < tuples.length
 
   override def next(): StreamTuple = {
-    val e = pq.dequeue()
-    val (tok, s) = lists(e.qIdx)(e.pos)
-    val nxt = e.pos + 1
-    if (nxt < lists(e.qIdx).length) pq.enqueue(Entry(lists(e.qIdx)(nxt)._2, e.qIdx, nxt))
+    val t = tuples(emitted)
     emitted += 1
-    StreamTuple(e.qIdx, tok, s)
+    t
   }
 
   /** Number of tuples emitted so far (for stats / space accounting). */
-  def tuplesEmitted: Long = emitted
+  def tuplesEmitted: Long = emitted.toLong
 
   /** Aggregate buffered-list size — the O(|D|·|Q|) term of §VII-B. */
-  def bufferedPairs: Long = lists.map(_.length.toLong).sum
-}
-
-object TokenStream {
-  /** The next unseen neighbour `pos` of query token `qIdx`, with its similarity. */
-  private final case class Entry(sim: Double, qIdx: Int, pos: Int)
-
-  private object Entry {
-    /** Higher similarity first, then lower query position. */
-    val ByNext: Ordering[Entry] = (a, b) => {
-      val c = java.lang.Double.compare(a.sim, b.sim)
-      if (c != 0) c else Integer.compare(b.qIdx, a.qIdx)
-    }
-  }
+  def bufferedPairs: Long = tuples.length.toLong
 }

@@ -84,8 +84,6 @@ object SemanticData {
     minCard = 5, maxCard = 500, cardSkew = 15.0,
     conceptZipf = 1.25, localityWindow = 50, pLocal = 0.65, seed = 19, topicZipf = 0.8)
 
-  val allProfiles: Seq[DatasetProfile] = Seq(dblpLite, openDataLite, twitterLite, wdcLite)
-
   /** A tiny profile for unit tests (fast end-to-end runs). */
   val tinyProfile: DatasetProfile = DatasetProfile(
     name = "tiny", nSets = 200, nConcepts = 150, synonymsPerConcept = 3,

@@ -49,27 +49,27 @@ object BenchSuite {
 
   def queries(name: String): Seq[SetRecord] = queriesByInterval(name).flatMap(_._2)
 
-  /** Cached Koios runs per dataset: (query, stats, wallMs). */
-  lazy val koiosRuns: Map[String, Seq[(SetRecord, SearchStats, Double)]] =
-    datasets.map { case (name, _) =>
-      val eng = engines(name)
-      name -> queries(name).map { q =>
-        val (_, stats, wall) = eng.runKoios(q.tokens.toSeq, Params)
-        (q, stats, wall)
-      }
-    }.toMap
+  /** One cached query run: (query, stats, wallMs). */
+  type Run = (SetRecord, SearchStats, Double)
+  private val runCache = scala.collection.mutable.HashMap.empty[(String, String), Seq[Run]]
 
-  /** Cached Baseline runs per dataset (plain baseline, §VIII-A4). */
-  lazy val baselineRuns: Map[String, Seq[(SetRecord, SearchStats, Double)]] =
-    datasets.map { case (name, _) =>
-      val eng = engines(name)
-      name -> queries(name).map { q =>
-        val (_, stats, wall) = eng.runBaseline(q.tokens.toSeq, Params)
+  /** Runs every query of dataset `name` once per JVM and engine. */
+  private def cachedRuns(engine: String, name: String)(
+      search: (PartitionedEngines, Seq[String]) => (Seq[ScoredSet], SearchStats, Double)): Seq[Run] =
+    synchronized {
+      runCache.getOrElseUpdate((engine, name), queries(name).map { q =>
+        val (_, stats, wall) = search(engines(name), q.tokens.toSeq)
         (q, stats, wall)
-      }
-    }.toMap
+      })
+    }
 
-  def agg(runs: Seq[(SetRecord, SearchStats, Double)]): Agg =
+  /** Cached Koios runs of one dataset, in `queries(name)` order. */
+  def koiosRuns(name: String): Seq[Run] = cachedRuns("Koios", name)(_.runKoios(_, Params))
+
+  /** Cached Baseline runs of one dataset (plain baseline, §VIII-A4). */
+  def baselineRuns(name: String): Seq[Run] = cachedRuns("Baseline", name)(_.runBaseline(_, Params))
+
+  def agg(runs: Seq[Run]): Agg =
     Agg.of(runs.map(r => (r._2, r._3)))
 }
 

@@ -4,9 +4,9 @@ import scala.collection.mutable
 
 /** Test-only oracle: Algorithm 1 as it was written on `TreeSet` buckets, a
   * `HashMap[Int, Cand]` of boxed candidate states and string lookups, kept
-  * verbatim (only renamed, and returning [[OracleOutput]]) so `RefinementSpec`
-  * can check that the primitive-state [[Refinement]] takes every decision it
-  * takes.
+  * verbatim (only renamed, returning [[OracleOutput]] and counting the bucket
+  * scan's prunes in `scanPruned`) so `RefinementSpec` can check that the
+  * primitive-state [[Refinement]] takes every decision it takes.
   */
 final case class OracleOutput(
     survivors: IndexedSeq[Survivor],
@@ -14,6 +14,7 @@ final case class OracleOutput(
     thetaLb: Double,
     candidates: Int,
     iubPruned: Int,
+    scanPruned: Int,
     streamTuples: Long,
     timedOut: Boolean)
 
@@ -54,12 +55,14 @@ object RefinementOracle {
 
     var nCandidates = 0
     var nPruned = 0
+    var nScanPruned = 0
     var timedOut = false
 
     def pruneCandidate(idx: Int): Unit = {
       cands.remove(idx)
       pruned.set(idx)
       nPruned += 1
+      nScanPruned += 1
     }
 
     /** Prefix-scan every bucket against the current θ_lb and stream sim.
@@ -187,6 +190,7 @@ object RefinementOracle {
       thetaLb = topkLb.threshold,
       candidates = nCandidates,
       iubPruned = nPruned,
+      scanPruned = nScanPruned,
       streamTuples = tupleCount,
       timedOut = timedOut)
   }

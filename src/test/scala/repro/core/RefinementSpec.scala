@@ -167,6 +167,7 @@ class RefinementSpec extends AnyFunSuite {
   test("refinement takes every decision of the TreeSet oracle (differential)") {
     val rng = new Random(69)
     val alphas = Seq(0.5, 0.7, 0.8, 0.9)
+    var scanned = 0 // runs whose bucket scan pruned a set mid-stream
     for (trial <- 1 to 200) {
       // Noise 0 gives identical vectors within a cluster: similarities tied at 1.
       val f = TestData.fixture(rng, nSets = 10 + rng.nextInt(110), clusters = 3 + rng.nextInt(12),
@@ -192,6 +193,8 @@ class RefinementSpec extends AnyFunSuite {
         assert(got.survivors == want.survivors, ctx)
         assert(got.candidates == want.candidates, ctx)
         assert(got.iubPruned == want.iubPruned, ctx)
+        assert(got.scanPruned == want.scanPruned, ctx)
+        if (got.scanPruned > 0) scanned += 1
         assert(got.streamTuples == want.streamTuples, ctx)
         assert(got.topkLb.threshold == want.thetaLb, ctx)
         assert(got.timedOut == want.timedOut, ctx)
@@ -199,5 +202,6 @@ class RefinementSpec extends AnyFunSuite {
           want.edgeCache.view.mapValues(_.toSeq).toMap, ctx)
       }
     }
+    assert(scanned > 0, "no run pruned a set in the bucket scan")
   }
 }

@@ -97,4 +97,26 @@ class TokenStreamSpec extends AnyFunSuite {
     assert(stream.tuplesEmitted == n)
     assert(stream.bufferedPairs >= n)
   }
+
+  test("stream order is (−sim, query position, list position), ties included") {
+    val rng = new Random(38)
+    var ties = 0 // adjacent tuples tied on similarity across query positions
+    for (trial <- 1 to 20; alpha <- Seq(0.5, 0.8, 0.95)) {
+      // Noise 0: identical vectors within a cluster, similarities tied at 1.
+      val f = TestData.fixture(rng, noise = 0.0)
+      val index = new BruteForceSimilarityIndex(f.vocab, f.simFn)
+      val query = (TestData.corpusQuery(rng, f) ++ TestData.randomQuery(rng, f)).distinct
+      val want = (for {
+        qi <- query.indices
+        ((t, s), pos) <- index.neighbors(query(qi), alpha).zipWithIndex
+      } yield (-s, qi, pos, t)).sorted.map { case (s, qi, _, t) => (qi, t, -s) }
+      val got = new TokenStream(query, index, alpha).map(t => (t.qIdx, t.token, t.sim)).toSeq
+      assert(got == want, s"trial $trial, alpha $alpha")
+      ties += got.sliding(2).count {
+        case Seq(a, b) => a._3 == b._3 && a._1 != b._1
+        case _ => false
+      }
+    }
+    assert(ties > 0, "no similarity tie across query positions")
+  }
 }

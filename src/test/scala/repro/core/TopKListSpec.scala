@@ -106,4 +106,46 @@ class TopKListSpec extends AnyFunSuite {
       assert(reentries > 0, s"k=$k: no evicted id re-entered")
     }
   }
+
+  test("a full list ignores updates at or below θ_lb, in the list or not") {
+    val l = new TopKList(3)
+    l.update(1, 1.0); l.update(2, 2.0); l.update(3, 3.0)
+    val entries = l.entries
+    // Not in the list: below θ_lb, and tied with it (a tie does not evict).
+    assert(!l.update(4, 0.5))
+    assert(!l.update(4, 1.0))
+    // In the list: its own value, and one at θ_lb for an id above it.
+    assert(!l.update(1, 1.0))
+    assert(!l.update(3, 1.0))
+    assert(l.entries == entries)
+    assert(l.threshold == 1.0)
+    // Just above θ_lb the new id evicts the minimum.
+    assert(l.update(4, 1.5))
+    assert(l.entries == Seq(3L -> 3.0, 2L -> 2.0, 4L -> 1.5))
+  }
+
+  test("matches a naive recomputation while growing to k = 1000") {
+    val rng = new Random(53)
+    val k = 1000
+    val l = new TopKList(k)
+    val truth = scala.collection.mutable.HashMap.empty[Long, Double]
+    for (step <- 1 to 5000) {
+      val id = rng.nextInt(1500).toLong
+      val v = math.max(truth.getOrElse(id, 0.0), rng.nextInt(1000) / 100.0 + step / 500)
+      val thetaBefore = l.threshold
+      truth(id) = v
+      val changed = l.update(id, v)
+      val sorted = truth.values.toArray.sorted(Ordering[Double].reverse)
+      val expected = if (truth.size < k) 0.0 else sorted(k - 1)
+      assert(l.threshold == expected, s"step $step")
+      assert(l.size == math.min(k, truth.size), s"step $step")
+      assert(changed == (l.threshold != thetaBefore), s"step $step")
+      if (step % 500 == 0) {
+        val es = l.entries
+        es.foreach { case (i, x) => assert(truth(i) == x, s"step $step") }
+        assert(es.map(_._2) == sorted.take(k).toSeq, s"step $step")
+      }
+    }
+    assert(truth.size > k)
+  }
 }
