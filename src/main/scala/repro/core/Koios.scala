@@ -58,7 +58,7 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Ser
       SizeEst.ofTokenStream(stream.bufferedPairs) +
         SizeEst.ofEdgeCache(cands.edgeCache) +
         boundStateBytes(cands, query.length) +
-        SizeEst.ofPostProcessing(params.k, cands.survivors.length)
+        SizeEst.ofPostProcessing(params.k, cands.survivors.length, post.largestMatching)
 
     SearchResult(
       topk = post.results.take(params.k),

@@ -10,6 +10,10 @@ final case class Completed(score: Double) extends HungarianOutcome
   * the true score is strictly below the threshold supplied by the caller.
   */
 case object EarlyTerminated extends HungarianOutcome
+/** The deadline passed before an augmentation root; nothing is known about
+  * the score. Neither a completed matching nor an early termination.
+  */
+case object Interrupted extends HungarianOutcome
 
 /** Bipartite-matching kernel used by all engines.
   *
@@ -31,7 +35,49 @@ object Matching {
     */
   val PruneEps = 1e-9
 
-  /** Weight matrix of one (query, candidate) pair, from per-token edge lists.
+  /** Per-query working memory of the kernel: one weight matrix at a time,
+    * row-major and zero-padded to n×n with n = max(rows, cols), plus the
+    * kernel's label, slack, way, match and tree arrays and the builder's
+    * column and row maps. Every array grows to the largest matching solved
+    * on it and is reused; [[weights]] zero-fills only the n² prefix of the
+    * matrix. Not thread-safe: one scratch per query (per thread).
+    */
+  final class Scratch {
+    private[core] var rows = 0
+    private[core] var cols = 0
+    private[core] var n = 0
+    /** Largest n this scratch has held. */
+    private[core] var maxN = 0
+    private[core] var w: Array[Double] = Array.emptyDoubleArray
+    private[core] var lx: Array[Double] = Array.emptyDoubleArray
+    private[core] var ly: Array[Double] = Array.emptyDoubleArray
+    private[core] var slack: Array[Double] = Array.emptyDoubleArray
+    private[core] var way: Array[Int] = Array.emptyIntArray
+    private[core] var matchL: Array[Int] = Array.emptyIntArray
+    private[core] var matchR: Array[Int] = Array.emptyIntArray
+    private[core] var sRows: Array[Int] = Array.emptyIntArray
+    private[core] var tCols: Array[Int] = Array.emptyIntArray
+    private[core] var inT: Array[Boolean] = Array.emptyBooleanArray
+    private[core] var colEdges: Array[Array[(Int, Double)]] = Array.empty
+    private[core] var rowOf: Array[Int] = Array.emptyIntArray
+
+    /** Sizes the scratch for a rows × cols matrix and zero-fills its n×n
+      * padded prefix.
+      */
+    private[core] def reset(nRows: Int, nCols: Int): Unit = {
+      rows = nRows; cols = nCols; n = math.max(nRows, nCols)
+      if (n > maxN) {
+        maxN = n
+        w = new Array[Double](n * n)
+        lx = new Array[Double](n); ly = new Array[Double](n); slack = new Array[Double](n)
+        way = new Array[Int](n); matchL = new Array[Int](n); matchR = new Array[Int](n)
+        sRows = new Array[Int](n); tCols = new Array[Int](n); inT = new Array[Boolean](n)
+      } else java.util.Arrays.fill(w, 0, n * n, 0.0)
+    }
+  }
+
+  /** Weight matrix of one (query, candidate) pair, from per-token edge
+    * lists, written into `s` (the matrix [[hungarianMax]] solves next).
     *
     * Full (`reduced = false`) is the paper's matrix construction (§VIII-A3):
     * ALL query tokens × ALL candidate tokens, zero where no α-edge, exactly
@@ -49,40 +95,52 @@ object Matching {
     *                similarity cache); tokens without entry have no edges
     */
   def weights(qCount: Int, cTokens: Array[String], edgesOf: String => Array[(Int, Double)],
-              reduced: Boolean): Array[Array[Double]] = {
-    var cols = cTokens
-    var rowOf: Array[Int] = null // null: row = query position
+              reduced: Boolean, s: Scratch): Unit = {
+    if (s.colEdges.length < cTokens.length) s.colEdges = new Array(cTokens.length)
+    val colEdges = s.colEdges
+    var nCols = 0
+    var c = 0
+    while (c < cTokens.length) {
+      val es = edgesOf(cTokens(c))
+      if (!reduced || es.nonEmpty) { colEdges(nCols) = es; nCols += 1 }
+      c += 1
+    }
     var nRows = qCount
+    var rowOf: Array[Int] = null // null: row = query position
     if (reduced) {
-      val hasEdge = new Array[Boolean](qCount)
-      cols = cTokens.filter { t =>
-        val es = edgesOf(t)
-        es.foreach(e => hasEdge(e._1) = true)
-        es.nonEmpty
+      if (s.rowOf.length < qCount) s.rowOf = new Array[Int](qCount)
+      rowOf = s.rowOf
+      java.util.Arrays.fill(rowOf, 0, qCount, -1)
+      c = 0
+      while (c < nCols) {
+        val es = colEdges(c)
+        var e = 0
+        while (e < es.length) { rowOf(es(e)._1) = 0; e += 1 }
+        c += 1
       }
-      rowOf = new Array[Int](qCount)
       nRows = 0
       var qi = 0
-      while (qi < qCount) { if (hasEdge(qi)) { rowOf(qi) = nRows; nRows += 1 }; qi += 1 }
+      while (qi < qCount) { if (rowOf(qi) == 0) { rowOf(qi) = nRows; nRows += 1 }; qi += 1 }
     }
-    val w = Array.ofDim[Double](nRows, cols.length)
+    s.reset(nRows, nCols)
+    val w = s.w
+    val n = s.n
     var any = false
-    var c = 0
-    while (c < cols.length) {
-      val es = edgesOf(cols(c))
+    c = 0
+    while (c < nCols) {
+      val es = colEdges(c)
       var e = 0
       while (e < es.length) {
         val r = if (rowOf eq null) es(e)._1 else rowOf(es(e)._1)
-        w(r)(c) = math.max(w(r)(c), es(e)._2)
+        val cell = r * n + c
+        w(cell) = math.max(w(cell), es(e)._2)
         any = true
         e += 1
       }
       c += 1
     }
-    if (any) w else NoWeights
+    if (!any) s.reset(0, 0)
   }
-
-  private val NoWeights = Array.empty[Array[Double]]
 
   /** Direct edge lists between explicit token arrays (reference path for
     * tests and the brute-force reference).
@@ -99,76 +157,87 @@ object Matching {
     buf.toArray
   }
 
-  /** Maximum-weight bipartite matching via Kuhn–Munkres with node labels and
-    * slack arrays, O(n³). The running node-label sum `Σ lx + Σ ly` is an
-    * anytime upper bound on the optimal matching score (Kuhn–Munkres
-    * theorem); when it drops below `theta` the computation aborts with
-    * [[EarlyTerminated]] — the EM-Early-Terminated filter of Lemma 8.
+  /** Maximum-weight bipartite matching of the matrix last written into `s`,
+    * via Kuhn–Munkres with node labels and slack arrays, O(n³). The running
+    * node-label sum `Σ lx + Σ ly` is an anytime upper bound on the optimal
+    * matching score (Kuhn–Munkres theorem); when it drops below `theta` the
+    * computation aborts with [[EarlyTerminated]] — the EM-Early-Terminated
+    * filter of Lemma 8. The deadline is read once per augmentation root, so a
+    * run overshoots it by at most one root, O(n²).
     *
-    * @param w     rows × cols non-negative weights (rectangular allowed)
-    * @param theta early-termination threshold; `Double.NegativeInfinity`
-    *              disables the filter
+    * @param theta         early-termination threshold;
+    *                      `Double.NegativeInfinity` disables the filter
+    * @param deadlineNanos `System.nanoTime` after which the run returns
+    *                      [[Interrupted]]; 0 for none
     */
-  def hungarianMax(w: Array[Array[Double]], theta: Double = Double.NegativeInfinity)
-      : HungarianOutcome = {
-    val rows = w.length
-    val cols = if (rows == 0) 0 else w(0).length
+  def hungarianMax(s: Scratch, theta: Double = Double.NegativeInfinity,
+                   deadlineNanos: Long = 0L): HungarianOutcome = {
+    val rows = s.rows
+    val cols = s.cols
     if (rows == 0 || cols == 0) {
       return if (0.0 < theta - PruneEps) EarlyTerminated else Completed(0.0)
     }
-    val n = math.max(rows, cols)
-    @inline def weight(i: Int, j: Int): Double = if (i < rows && j < cols) w(i)(j) else 0.0
+    val n = s.n
+    val w = s.w
+    val lx = s.lx
+    val ly = s.ly
+    val slack = s.slack
+    val way = s.way
+    val matchL = s.matchL
+    val matchR = s.matchR
+    val sRows = s.sRows
+    val tCols = s.tCols
+    val inT = s.inT
 
-    val lx = Array.tabulate(n) { i =>
-      var m = 0.0; var j = 0
-      while (j < cols) { if (weight(i, j) > m) m = weight(i, j); j += 1 }
-      m
+    // Padding rows and columns are 0.0, so row maxima and slacks equal those
+    // over the unpadded rows × cols matrix.
+    var labelSum = 0.0
+    var i = 0
+    while (i < n) {
+      var m = 0.0; var j = 0; val base = i * n
+      while (j < cols) { if (w(base + j) > m) m = w(base + j); j += 1 }
+      lx(i) = m
+      labelSum += m
+      i += 1
     }
-    val ly = new Array[Double](n)
-    var labelSum = { var s = 0.0; var i = 0; while (i < n) { s += lx(i); i += 1 }; s }
     if (labelSum < theta - PruneEps) return EarlyTerminated
 
-    val matchL = Array.fill(n)(-1)
-    val matchR = Array.fill(n)(-1)
-    val slack = new Array[Double](n)
-    val way = new Array[Int](n)
-    val inS = new Array[Boolean](n)
-    val inT = new Array[Boolean](n)
+    java.util.Arrays.fill(ly, 0, n, 0.0)
+    java.util.Arrays.fill(matchL, 0, n, -1)
+    java.util.Arrays.fill(matchR, 0, n, -1)
 
+    // One alternating tree per root: rows S and columns T as lists (sRows,
+    // tCols; inT marks T), the slack of the columns outside T in one pass
+    // per row added (addRow).
     var root = 0
     while (root < n) {
-      java.util.Arrays.fill(inS, false)
-      java.util.Arrays.fill(inT, false)
-      var j = 0
-      while (j < n) { slack(j) = lx(root) + ly(j) - weight(root, j); way(j) = root; j += 1 }
-      inS(root) = true
+      if (deadlineNanos > 0 && System.nanoTime() > deadlineNanos) return Interrupted
+      java.util.Arrays.fill(inT, 0, n, false)
+      java.util.Arrays.fill(slack, 0, n, Double.PositiveInfinity)
+      sRows(0) = root
+      var sCount = 1
+      var tCount = 0
+      var jmin = addRow(s, root, 0.0)
       var endCol = -1
       while (endCol == -1) {
-        var delta = Double.MaxValue; var jmin = -1
-        j = 0
-        while (j < n) { if (!inT(j) && slack(j) < delta) { delta = slack(j); jmin = j }; j += 1 }
-        if (delta > Eps) {
-          var i = 0
-          while (i < n) { if (inS(i)) lx(i) -= delta; i += 1 }
-          j = 0
-          while (j < n) { if (inT(j)) ly(j) += delta else slack(j) -= delta; j += 1 }
+        val delta = slack(jmin)
+        val shift = delta > Eps
+        if (shift) {
+          var k = 0
+          while (k < sCount) { lx(sRows(k)) -= delta; k += 1 }
+          k = 0
+          while (k < tCount) { ly(tCols(k)) += delta; k += 1 }
           // |S| = |T| + 1 in the alternating tree, so the sum shrinks by delta.
           labelSum -= delta
           if (labelSum < theta - PruneEps) return EarlyTerminated
         }
         inT(jmin) = true
-        if (matchR(jmin) == -1) endCol = jmin
+        tCols(tCount) = jmin; tCount += 1
+        val r = matchR(jmin)
+        if (r == -1) endCol = jmin
         else {
-          val r = matchR(jmin)
-          inS(r) = true
-          j = 0
-          while (j < n) {
-            if (!inT(j)) {
-              val s = lx(r) + ly(j) - weight(r, j)
-              if (s < slack(j)) { slack(j) = s; way(j) = r }
-            }
-            j += 1
-          }
+          sRows(sCount) = r; sCount += 1
+          jmin = addRow(s, r, if (shift) delta else 0.0)
         }
       }
       var jj = endCol
@@ -181,25 +250,58 @@ object Matching {
       root += 1
     }
     var score = 0.0
-    var i = 0
+    i = 0
     while (i < rows) {
       val j = matchL(i)
-      if (j >= 0 && j < cols) score += w(i)(j)
+      if (j >= 0 && j < cols) score += w(i * n + j)
       i += 1
     }
     Completed(score)
   }
 
-  /** The exact matching score of `w`: [[hungarianMax]] without a threshold. */
-  def score(w: Array[Array[Double]]): Double = hungarianMax(w) match {
-    case Completed(s)    => s
-    case EarlyTerminated => throw new IllegalStateException("unreachable: no threshold")
+  /** Adds row `r` to the alternating tree: one pass over the columns outside
+    * T lowers each slack by the label shift `d` just applied (0.0 when none:
+    * x − 0.0 == x for every double), relaxes it by row `r` and returns the
+    * first column of least slack. Per column these are the operations, in
+    * the order, of a shift pass, a relax pass and a minimum scan run one
+    * after another. A root starts from slacks of +∞, which every finite
+    * weight relaxes.
+    */
+  private def addRow(s: Scratch, r: Int, d: Double): Int = {
+    val n = s.n
+    val w = s.w
+    val ly = s.ly
+    val slack = s.slack
+    val way = s.way
+    val inT = s.inT
+    val lr = s.lx(r)
+    val rBase = r * n
+    var delta = Double.MaxValue
+    var jmin = -1
+    var j = 0
+    while (j < n) {
+      if (!inT(j)) {
+        var sj = slack(j) - d
+        val sl = lr + ly(j) - w(rBase + j)
+        if (sl < sj) { sj = sl; way(j) = r }
+        slack(j) = sj
+        if (sj < delta) { delta = sj; jmin = j }
+      }
+      j += 1
+    }
+    jmin
   }
 
   /** Reference SO(Q, C) computed directly from the similarity function —
     * used by tests and the brute-force reference.
     */
   def semanticOverlapDirect(qTokens: Array[String], cTokens: Array[String],
-                            simFn: TokenSimilarity, alpha: Double): Double =
-    score(weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true))
+                            simFn: TokenSimilarity, alpha: Double): Double = {
+    val s = new Scratch
+    weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true, s)
+    hungarianMax(s) match {
+      case Completed(so) => so
+      case other         => throw new IllegalStateException(s"unreachable without a threshold: $other")
+    }
+  }
 }

@@ -9,7 +9,8 @@ final case class PostProcessingOutput(
     emEarlyTerminated: Int,
     emComputed: Int,
     finalizeEms: Int,
-    timedOut: Boolean)
+    timedOut: Boolean,
+    largestMatching: Int)
 
 /** Algorithm 2 — verification of refinement survivors.
   *
@@ -36,7 +37,8 @@ object PostProcessing {
           deadlineNanos: Long): PostProcessingOutput = {
 
     val topkLb = refinement.topkLb
-    val weightsOf = matrices(records, refinement, query, params)
+    val scratch = new Matching.Scratch
+    val weightsOf = matrices(records, refinement, query, params, scratch)
 
     final class PostSet(val idx: Int, var lb: Double, var ub: Double) {
       var checked = false
@@ -99,7 +101,7 @@ object PostProcessing {
           best.checked = true
           noEm += 1
         } else {
-          Matching.hungarianMax(weightsOf(best.idx), topkLb.threshold) match {
+          Matching.hungarianMax(weightsOf(best.idx), topkLb.threshold, deadlineNanos) match {
             case EarlyTerminated =>
               emEarly += 1
               lub -= best // SO < θ_lb ≤ θ_k*: out of every top-k result.
@@ -111,6 +113,8 @@ object PostProcessing {
               // SO may no longer be a top-k UB: demote and let refill decide.
               lub -= best
               qub.enqueue(best)
+            case Interrupted =>
+              timedOut = true
           }
         }
         if (deadlineNanos > 0 && System.nanoTime() > deadlineNanos) timedOut = true
@@ -123,16 +127,23 @@ object PostProcessing {
     while (qub.nonEmpty) { if (!qub.dequeue().checked) noEm += 1 }
 
     // Finalize: attach exact scores to No-EM-accepted results so every
-    // returned score is exact (needed by the distributed top-k merge).
+    // returned score is exact (needed by the distributed top-k merge). Once
+    // the deadline has passed, a result keeps its refinement lower bound.
     val results = lub.map { c =>
-      if (c.exact) ScoredSet(records(c.idx).id, c.ub)
-      else {
-        finalized += 1
-        ScoredSet(records(c.idx).id, Matching.score(weightsOf(c.idx)))
+      val id = records(c.idx).id
+      if (c.exact) ScoredSet(id, c.ub)
+      else if (timedOut) ScoredSet(id, c.lb)
+      else Matching.hungarianMax(weightsOf(c.idx), deadlineNanos = deadlineNanos) match {
+        case Completed(so) =>
+          finalized += 1
+          ScoredSet(id, so)
+        case _ => // Interrupted: no threshold is given
+          timedOut = true
+          ScoredSet(id, c.lb)
       }
     }.sortBy(r => (-r.score, r.id)).toSeq
 
-    PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut)
+    PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut, scratch.maxN)
   }
 
   /** The baselines' verification (§VIII-A4): an exact matching for every
@@ -144,33 +155,44 @@ object PostProcessing {
                 query: Array[String],
                 params: KoiosParams,
                 deadlineNanos: Long): PostProcessingOutput = {
-    val weightsOf = matrices(records, candidates, query, params)
+    val scratch = new Matching.Scratch
+    val weightsOf = matrices(records, candidates, query, params, scratch)
     val topk = mutable.PriorityQueue.empty[ScoredSet](Ordering.by(r => (-r.score, r.id)))
     var emDone = 0
     var timedOut = candidates.timedOut
     val it = candidates.survivors.iterator
     while (it.hasNext && !timedOut) {
       val idx = it.next().idx
-      val so = Matching.score(weightsOf(idx))
-      emDone += 1
-      if (so > 0.0) {
-        topk.enqueue(ScoredSet(records(idx).id, so))
-        if (topk.size > params.k) topk.dequeue()
+      Matching.hungarianMax(weightsOf(idx), deadlineNanos = deadlineNanos) match {
+        case Completed(so) =>
+          emDone += 1
+          if (so > 0.0) {
+            topk.enqueue(ScoredSet(records(idx).id, so))
+            if (topk.size > params.k) topk.dequeue()
+          }
+          if (deadlineNanos > 0 && System.nanoTime() > deadlineNanos) timedOut = true
+        case _ => // Interrupted: no threshold is given
+          timedOut = true
       }
-      if (deadlineNanos > 0 && System.nanoTime() > deadlineNanos) timedOut = true
     }
     PostProcessingOutput(topk.toSeq.sortBy(r => (-r.score, r.id)), noEm = 0,
-      emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut)
+      emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut,
+      largestMatching = scratch.maxN)
   }
 
-  /** Matrix builder over the candidate phase's edge cache: the paper's full
-    * |Q|×|C| matrix unless `reducedGraphs` is set.
+  /** Matrix builder over the candidate phase's edge cache: writes the
+    * paper's full |Q|×|C| matrix (unless `reducedGraphs` is set) of a record
+    * into the query's scratch.
     */
   private def matrices(records: IndexedSeq[SetRecord], candidates: RefinementOutput,
-                       query: Array[String], params: KoiosParams): Int => Array[Array[Double]] = {
+                       query: Array[String], params: KoiosParams,
+                       scratch: Matching.Scratch): Int => Matching.Scratch = {
     val edgesOf: String => Array[(Int, Double)] =
       t => candidates.edgeCache.getOrElse(t, NoEdges)
-    idx => Matching.weights(query.length, records(idx).tokens, edgesOf, params.reducedGraphs)
+    idx => {
+      Matching.weights(query.length, records(idx).tokens, edgesOf, params.reducedGraphs, scratch)
+      scratch
+    }
   }
 
   private val NoEdges = Array.empty[(Int, Double)]

@@ -4,7 +4,7 @@ package repro.core
   * the paper's memory-footprint accounting (§VIII-D): the reported number is
   * the sum of the refinement-phase structures (token stream buffers, edge
   * cache, candidate states, buckets) and the post-processing structures
-  * (top-k lists, UB priority queue), *excluding* the repository itself and
+  * (top-k lists, UB priority queue, the matching scratch), *excluding* the repository itself and
   * the shared indexes, which are query-independent.
   *
   * Constants approximate a 64-bit JVM with compressed oops: strings cost
@@ -36,7 +36,17 @@ object SizeEst {
   /** Bucket heaps: a `Double` and an `Int` (12 bytes) per heap entry. */
   def ofBuckets(nEntries: Long): Long = 12L * nEntries
 
-  /** Post-processing lists: L_lb, L_ub (k entries) and Q_ub (survivors). */
-  def ofPostProcessing(k: Int, survivors: Int): Long =
-    2L * k * 48L + survivors.toLong * 48L
+  /** Post-processing lists: L_lb, L_ub (k entries) and Q_ub (survivors), plus
+    * the matching scratch sized by the largest matching, n = max(rows, cols).
+    */
+  def ofPostProcessing(k: Int, survivors: Int, largestMatching: Int): Long =
+    2L * k * 48L + survivors.toLong * 48L + ofMatchingScratch(largestMatching)
+
+  /** [[Matching.Scratch]] for an n×n matching: the padded `Double` matrix
+    * (8·n²), the `lx`, `ly`, `slack` doubles, the `way`, `matchL`, `matchR`
+    * ints, the `sRows`, `tCols` tree lists and the `inT` flags (45·n). The
+    * builder's column and row maps, one slot per candidate token and per
+    * query token, are not counted.
+    */
+  def ofMatchingScratch(n: Int): Long = 8L * n * n + 45L * n
 }

@@ -53,6 +53,7 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
     val edgesOf: String => Array[(Int, Double)] =
       t => cands.edgeCache.getOrElse(t, Array.empty[(Int, Double)])
 
+    val scratch = new Matching.Scratch
     var timedOut = cands.timedOut
     val out = mutable.ArrayBuffer.empty[ScoredSet]
     val it = cands.survivors.iterator
@@ -71,9 +72,11 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
         }
       if (verify) {
         // Same kernel as the engines' default: full |Q|×|C| matrix (§VIII-A3).
-        val w = Matching.weights(query.length, rec.tokens, edgesOf, reduced = false)
-        val so = Matching.score(w)
-        if (so >= theta && so > 0.0) out += ScoredSet(rec.id, so)
+        Matching.weights(query.length, rec.tokens, edgesOf, reduced = false, scratch)
+        Matching.hungarianMax(scratch, deadlineNanos = deadline) match {
+          case Completed(so) => if (so >= theta && so > 0.0) out += ScoredSet(rec.id, so)
+          case _             => timedOut = true // Interrupted: no threshold is given
+        }
       }
       if (deadline > 0 && System.nanoTime() > deadline) timedOut = true
     }

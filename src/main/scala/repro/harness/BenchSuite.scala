@@ -30,22 +30,36 @@ object BenchSuite {
   lazy val datasets: Seq[(String, SemanticDataset)] =
     Seq("DBLP" -> dblp, "OpenData" -> openData, "Twitter" -> twitter, "WDC" -> wdc)
 
-  private val engineCache = scala.collection.mutable.HashMap.empty[String, PartitionedEngines]
-  def engines(name: String): PartitionedEngines = synchronized {
-    engineCache.getOrElseUpdate(name,
-      new PartitionedEngines(datasets.toMap.apply(name), Partitions))
+  /** One dataset by name; generates only that corpus. */
+  def dataset(name: String): SemanticDataset = name match {
+    case "DBLP"     => dblp
+    case "OpenData" => openData
+    case "Twitter"  => twitter
+    case "WDC"      => wdc
   }
 
+  private val engineCache = scala.collection.mutable.HashMap.empty[String, PartitionedEngines]
+  def engines(name: String): PartitionedEngines = synchronized {
+    engineCache.getOrElseUpdate(name, new PartitionedEngines(dataset(name), Partitions))
+  }
+
+  private val queryCache =
+    scala.collection.mutable.HashMap.empty[String, Seq[(String, Seq[SetRecord])]]
+
   /** Per-dataset query benchmark: stratified for the skewed corpora
-    * (OpenData/WDC), uniform for DBLP/Twitter (§VIII-A2).
+    * (OpenData/WDC), uniform for DBLP/Twitter (§VIII-A2). Sampled once per
+    * JVM, from that dataset only.
     */
-  lazy val queriesByInterval: Map[String, Seq[(String, Seq[SetRecord])]] = Map(
-    "DBLP" -> Seq("all" -> SemanticData.sampleQueries(dblp, UniformQueries, seed = 101)),
-    "Twitter" -> Seq("all" -> SemanticData.sampleQueries(twitter, UniformQueries, seed = 103)),
-    "OpenData" -> SemanticData.sampleQueriesByInterval(openData, OdIntervals,
-      QueriesPerInterval, seed = 102),
-    "WDC" -> SemanticData.sampleQueriesByInterval(wdc, WdcIntervals,
-      QueriesPerInterval, seed = 104))
+  def queriesByInterval(name: String): Seq[(String, Seq[SetRecord])] = synchronized {
+    queryCache.getOrElseUpdate(name, name match {
+      case "DBLP" => Seq("all" -> SemanticData.sampleQueries(dblp, UniformQueries, seed = 101))
+      case "Twitter" => Seq("all" -> SemanticData.sampleQueries(twitter, UniformQueries, seed = 103))
+      case "OpenData" => SemanticData.sampleQueriesByInterval(openData, OdIntervals,
+        QueriesPerInterval, seed = 102)
+      case "WDC" => SemanticData.sampleQueriesByInterval(wdc, WdcIntervals,
+        QueriesPerInterval, seed = 104)
+    })
+  }
 
   def queries(name: String): Seq[SetRecord] = queriesByInterval(name).flatMap(_._2)
 

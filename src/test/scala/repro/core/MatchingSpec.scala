@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
+import ExplicitMatrix.{load, read}
+
 /** Exhaustive-reference tests for the Hungarian kernel, the greedy matching
   * (refinement's lower bound), and the label-sum early-termination filter
   * (Lemma 8).
@@ -36,15 +38,23 @@ class MatchingSpec extends AnyFunSuite {
 
   private def score(o: HungarianOutcome): Double = o match {
     case Completed(s)    => s
-    case EarlyTerminated => fail("unexpected early termination")
+    case other           => fail(s"unexpected $other")
+  }
+
+  /** The matrix of one (query, candidate) pair, built into a fresh scratch. */
+  private def built(qCount: Int, cTokens: Array[String], edgesOf: String => Array[(Int, Double)],
+                    reduced: Boolean): Matching.Scratch = {
+    val s = new Matching.Scratch
+    Matching.weights(qCount, cTokens, edgesOf, reduced, s)
+    s
   }
 
   test("empty matrix has score 0") {
-    assert(score(Matching.hungarianMax(Array.empty)) == 0.0)
+    assert(score(Matching.hungarianMax(load(Array.empty))) == 0.0)
   }
 
   test("1x1 matrix") {
-    assert(score(Matching.hungarianMax(Array(Array(0.7)))) == 0.7)
+    assert(score(Matching.hungarianMax(load(Array(Array(0.7))))) == 0.7)
   }
 
   test("identity-best square matrix") {
@@ -52,7 +62,7 @@ class MatchingSpec extends AnyFunSuite {
       Array(1.0, 0.2, 0.1),
       Array(0.1, 1.0, 0.3),
       Array(0.0, 0.2, 1.0))
-    assert(math.abs(score(Matching.hungarianMax(w)) - 3.0) < 1e-9)
+    assert(math.abs(score(Matching.hungarianMax(load(w))) - 3.0) < 1e-9)
   }
 
   test("hungarian equals brute force on 300 random square matrices") {
@@ -60,7 +70,7 @@ class MatchingSpec extends AnyFunSuite {
     for (_ <- 1 to 300) {
       val n = 1 + rng.nextInt(6)
       val w = randomMatrix(rng, n, n)
-      assert(math.abs(score(Matching.hungarianMax(w)) - bruteMax(w)) < 1e-9)
+      assert(math.abs(score(Matching.hungarianMax(load(w))) - bruteMax(w)) < 1e-9)
     }
   }
 
@@ -70,7 +80,7 @@ class MatchingSpec extends AnyFunSuite {
       val rows = 1 + rng.nextInt(6)
       val cols = 1 + rng.nextInt(7)
       val w = randomMatrix(rng, rows, cols)
-      assert(math.abs(score(Matching.hungarianMax(w)) - bruteMax(w)) < 1e-9)
+      assert(math.abs(score(Matching.hungarianMax(load(w))) - bruteMax(w)) < 1e-9)
     }
   }
 
@@ -80,7 +90,7 @@ class MatchingSpec extends AnyFunSuite {
       val rows = 1 + rng.nextInt(6)
       val cols = 1 + rng.nextInt(6)
       val w = randomMatrix(rng, rows, cols, sparsity = 0.7)
-      assert(math.abs(score(Matching.hungarianMax(w)) - bruteMax(w)) < 1e-9)
+      assert(math.abs(score(Matching.hungarianMax(load(w))) - bruteMax(w)) < 1e-9)
     }
   }
 
@@ -122,7 +132,7 @@ class MatchingSpec extends AnyFunSuite {
       val opt = bruteMax(w)
       val theta = rng.nextDouble() * (n + 0.5)
       if (math.abs(opt - theta) > 1e-6) { // avoid float-boundary flakiness
-        Matching.hungarianMax(w, theta) match {
+        Matching.hungarianMax(load(w), theta) match {
           case EarlyTerminated =>
             fired += 1
             assert(opt < theta, s"terminated although opt=$opt >= theta=$theta")
@@ -130,6 +140,8 @@ class MatchingSpec extends AnyFunSuite {
             completed += 1
             assert(math.abs(s - opt) < 1e-9)
             assert(opt >= theta, s"completed although opt=$opt < theta=$theta")
+          case Interrupted =>
+            fail("interrupted without a deadline")
         }
       }
     }
@@ -141,7 +153,7 @@ class MatchingSpec extends AnyFunSuite {
     val rng = new Random(6)
     for (_ <- 1 to 50) {
       val w = randomMatrix(rng, 4, 4)
-      assert(Matching.hungarianMax(w, Double.NegativeInfinity).isInstanceOf[Completed])
+      assert(Matching.hungarianMax(load(w), Double.NegativeInfinity).isInstanceOf[Completed])
     }
   }
 
@@ -152,23 +164,23 @@ class MatchingSpec extends AnyFunSuite {
     sparseEdges.getOrElse(t, Array.empty[(Int, Double)])
 
   test("full weights span every query token and every candidate token") {
-    val w = Matching.weights(3, Array("zzz", "a", "b"), sparseEdgesOf, reduced = false)
-    assert(w.map(_.toSeq).toSeq == Seq(
+    val w = read(built(3, Array("zzz", "a", "b"), sparseEdgesOf, reduced = false))
+    assert(w == Seq(
       Seq(0.0, 0.9, 0.85), // q0
       Seq(0.0, 0.0, 0.0), // q1: no edge, still a row
       Seq(0.0, 0.0, 0.8))) // q2
   }
 
   test("reduced weights keep only rows and columns with an edge") {
-    val w = Matching.weights(3, Array("b", "zzz", "a"), sparseEdgesOf, reduced = true)
+    val w = read(built(3, Array("b", "zzz", "a"), sparseEdgesOf, reduced = true))
     // In order: rows q0, q2 (q1 dropped); cols b, a (zzz dropped).
-    assert(w.map(_.toSeq).toSeq == Seq(Seq(0.85, 0.9), Seq(0.8, 0.0)))
+    assert(w == Seq(Seq(0.85, 0.9), Seq(0.8, 0.0)))
   }
 
   test("edgeless candidate gives the empty matrix; SO is 0") {
     for (reduced <- Seq(false, true)) {
-      val w = Matching.weights(2, Array("x", "y"), _ => Array.empty[(Int, Double)], reduced)
-      assert(w.isEmpty)
+      val w = built(2, Array("x", "y"), _ => Array.empty[(Int, Double)], reduced)
+      assert(read(w).isEmpty)
       assert(Matching.hungarianMax(w) == Completed(0.0))
       assert(Matching.hungarianMax(w, 0.5) == EarlyTerminated)
     }
@@ -244,8 +256,8 @@ class MatchingSpec extends AnyFunSuite {
       val q = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
       val c = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
       val edges = Matching.directEdges(q, simFn, 0.4)
-      val reduced = Matching.hungarianMax(Matching.weights(q.length, c, edges, reduced = true))
-      val full = Matching.hungarianMax(Matching.weights(q.length, c, edges, reduced = false))
+      val reduced = Matching.hungarianMax(built(q.length, c, edges, reduced = true))
+      val full = Matching.hungarianMax(built(q.length, c, edges, reduced = false))
       (reduced, full) match {
         case (Completed(a), Completed(b)) => assert(math.abs(a - b) < 1e-9)
         case other                        => fail(s"unexpected: $other")
@@ -265,11 +277,119 @@ class MatchingSpec extends AnyFunSuite {
       val so = Matching.semanticOverlapDirect(q, c, simFn, 0.4)
       val theta = rng.nextDouble() * 3
       if (math.abs(so - theta) > 1e-6) {
-        val w = Matching.weights(q.length, c, edges, reduced = false)
+        val w = built(q.length, c, edges, reduced = false)
         val out = Matching.hungarianMax(w, theta)
         if (so < theta) assert(out == EarlyTerminated)
         else assert(out.isInstanceOf[Completed])
       }
     }
+  }
+
+  /** Entries with exact zeros, ties at 1.0 and a repeated mid value. */
+  private def tiedMatrix(rng: Random, rows: Int, cols: Int): Array[Array[Double]] =
+    Array.fill(rows, cols) {
+      rng.nextInt(5) match {
+        case 0 => 0.0
+        case 1 => 1.0
+        case 2 => 0.5
+        case _ => rng.nextDouble()
+      }
+    }
+
+  /** Thresholds that put Lemma 8's checks on their boundaries: the initial
+    * label sum Σ row max and the optimum, each exactly and ±`PruneEps`, with
+    * the neighbouring doubles of the shifted values.
+    */
+  private def boundaryThetas(w: Array[Array[Double]]): Seq[Double] = {
+    val initial = w.foldLeft(0.0)((sum, row) => sum + row.foldLeft(0.0)(math.max))
+    val opt = MatchingOracle.hungarianMax(w) match {
+      case Completed(so) => so
+      case other         => fail(s"unexpected $other")
+    }
+    Seq(initial, opt).flatMap { t =>
+      val up = t + Matching.PruneEps
+      val down = t - Matching.PruneEps
+      Seq(t, up, down, math.nextUp(up), math.nextDown(up), math.nextUp(down), math.nextDown(down))
+    } :+ Double.NegativeInfinity :+ 0.0
+  }
+
+  test("flat kernel outcomes == the Array[Array] oracle's, thresholds on the boundaries") {
+    val rng = new Random(17)
+    val s = new Matching.Scratch // reused across every shape, larger and smaller
+    val shapes = Seq((0, 0), (0, 4), (3, 0)) ++ Seq.fill(400) {
+      val rows = rng.nextInt(9)
+      val cols = rng.nextInt(9)
+      (rows, cols)
+    }
+    var early = 0
+    var completed = 0
+    for ((rows, cols) <- shapes) {
+      val w = if (rows == 0) Array.empty[Array[Double]] else tiedMatrix(rng, rows, cols)
+      for (theta <- boundaryThetas(w)) {
+        val want = MatchingOracle.hungarianMax(w, theta)
+        val got = Matching.hungarianMax(load(w, s), theta)
+        assert(got == want, s"${rows}x$cols theta=$theta")
+        if (got == EarlyTerminated) early += 1 else completed += 1
+      }
+    }
+    assert(shapes.exists { case (r, c) => r < c } && shapes.exists { case (r, c) => r > c })
+    assert(early > 100 && completed > 100, s"early=$early completed=$completed")
+  }
+
+  test("builder writes the oracle builder's matrix; both kernels' outcomes ==") {
+    val rng = new Random(18)
+    val vocab = (0 until 10).map(i => s"t$i").toArray
+    val s = new Matching.Scratch
+    for (_ <- 1 to 300) {
+      val qCount = rng.nextInt(8)
+      // Edge lists may repeat a query position (the builder keeps the max)
+      // and some tokens have none.
+      val edges: Map[String, Array[(Int, Double)]] =
+        if (qCount == 0) Map.empty
+        else vocab.map { t =>
+          t -> Array.fill(rng.nextInt(4))((rng.nextInt(qCount), tiedMatrix(rng, 1, 1)(0)(0)))
+            .filter(_._2 > 0.0)
+        }.toMap
+      val edgesOf = (t: String) => edges.getOrElse(t, Array.empty[(Int, Double)])
+      val cTokens = rng.shuffle(vocab.toSeq).take(rng.nextInt(vocab.length + 1)).toArray
+      for (reduced <- Seq(false, true)) {
+        val want = MatchingOracle.weights(qCount, cTokens, edgesOf, reduced)
+        Matching.weights(qCount, cTokens, edgesOf, reduced, s)
+        assert(read(s) == want.map(_.toSeq).toSeq)
+        for (theta <- boundaryThetas(want))
+          assert(Matching.hungarianMax(s, theta) == MatchingOracle.hungarianMax(want, theta))
+      }
+    }
+  }
+
+  test("a reused scratch leaks no cell of a larger matrix into a smaller one") {
+    val rng = new Random(19)
+    val s = new Matching.Scratch
+    val big = Array.fill(12, 12)(1.0)
+    val small = Array(Array(0.0, 0.3, 0.0, 0.0), Array(0.0, 0.0, 0.0, 0.2), Array(0.0, 0.0, 0.0, 0.0))
+    val bigAgain = tiedMatrix(rng, 10, 12)
+    for (w <- Seq(big, small, bigAgain, small)) {
+      assert(read(load(w, s)) == w.map(_.toSeq).toSeq)
+      assert(Matching.hungarianMax(load(w, s)) == MatchingOracle.hungarianMax(w))
+    }
+    assert(Matching.hungarianMax(load(small, s)) == Completed(0.5))
+    // The same through the builder: a full 6 × 6 matrix of ones, then 2 × 3.
+    val ones = (t: String) => if (t.startsWith("a")) Array.tabulate(6)(q => (q, 1.0)) else Array((1, 0.4))
+    Matching.weights(6, Array.tabulate(6)(i => s"a$i"), ones, reduced = false, s)
+    assert(Matching.hungarianMax(s) == Completed(6.0))
+    Matching.weights(2, Array("b", "c", "d"), ones, reduced = false, s)
+    assert(read(s) == Seq(Seq(0.0, 0.0, 0.0), Seq(0.4, 0.4, 0.4)))
+    assert(Matching.hungarianMax(s) == Completed(0.4))
+  }
+
+  test("a deadline interrupts a 1500 x 1500 matching within 100 ms (one root, O(n²))") {
+    val rng = new Random(20)
+    val n = 1500
+    val s = load(Array.fill(n, n)(rng.nextDouble()))
+    val deadline = System.nanoTime() + 20L * 1000000L // a 20 ms budget
+    val out = Matching.hungarianMax(s, Double.NegativeInfinity, deadline)
+    val overshootMs = (System.nanoTime() - deadline) / 1e6
+    assert(out == Interrupted)
+    assert(overshootMs <= 100.0, s"returned $overshootMs ms after the deadline")
   }
 }

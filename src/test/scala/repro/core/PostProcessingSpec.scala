@@ -102,4 +102,34 @@ class PostProcessingSpec extends AnyFunSuite {
     assert(ref.survivors.isEmpty)
     assert(post.results.isEmpty)
   }
+
+  test("a timed-out query stops inside the kernel, also in finalize, within 100 ms") {
+    // |Q| = 1500 on the paper's full matrix: each matching is 1500 × 1500,
+    // about n³ steps of Kuhn–Munkres although each set has at most 30 edges.
+    val query = Array.tabulate(1500)(i => s"q$i")
+    val coll = new SetCollection(IndexedSeq(
+      SetRecord(0L, query.slice(0, 30)),
+      SetRecord(1L, query.slice(30, 50) ++ Seq("x1", "x2")),
+      SetRecord(2L, query.slice(50, 60))))
+    val idx = new BruteForceSimilarityIndex(coll.vocabulary, ExactMatchSimilarity)
+    val params = KoiosParams(10, 0.8, timeoutMs = 200L)
+    def timed(engine: KoiosEngine): (SearchResult, Double) = {
+      val t0 = System.nanoTime()
+      val res = engine.search(query.toSeq, params)
+      (res, (System.nanoTime() - t0) / 1e6 - params.timeoutMs)
+    }
+    // Koios accepts all three sets by No-EM (k > 3); the first finalizing
+    // matching is cut short, and every result keeps its refinement lb, which
+    // exact-match edges make tight.
+    val (koios, koiosOver) = timed(new KoiosEngine(coll, idx))
+    assert(koios.stats.timedOut)
+    assert(koiosOver <= 100.0, s"returned $koiosOver ms after the deadline")
+    assert(koios.stats.finalizeEms == 0 && koios.stats.emComputed == 0)
+    assert(koios.topk == Seq(ScoredSet(0L, 30.0), ScoredSet(1L, 20.0), ScoredSet(2L, 10.0)))
+    // The baseline's first matching is cut short and counted nowhere.
+    val (base, baseOver) = timed(new BaselineEngine(coll, idx))
+    assert(base.stats.timedOut)
+    assert(baseOver <= 100.0, s"returned $baseOver ms after the deadline")
+    assert(base.stats.emComputed == 0 && base.topk.isEmpty)
+  }
 }

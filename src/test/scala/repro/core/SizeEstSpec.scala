@@ -46,7 +46,15 @@ class SizeEstSpec extends AnyFunSuite {
   }
 
   test("post-processing estimate grows with survivors and k") {
-    assert(SizeEst.ofPostProcessing(10, 1000) > SizeEst.ofPostProcessing(10, 10))
-    assert(SizeEst.ofPostProcessing(100, 10) > SizeEst.ofPostProcessing(10, 10))
+    assert(SizeEst.ofPostProcessing(10, 1000, 0) > SizeEst.ofPostProcessing(10, 10, 0))
+    assert(SizeEst.ofPostProcessing(100, 10, 0) > SizeEst.ofPostProcessing(10, 10, 0))
+  }
+
+  test("post-processing estimate counts the matching scratch of the largest matching") {
+    // 8·n² bytes of padded matrix, 3 double, 5 int and 1 boolean arrays of n.
+    assert(SizeEst.ofMatchingScratch(0) == 0L)
+    assert(SizeEst.ofMatchingScratch(100) == 8L * 100 * 100 + 45L * 100)
+    assert(SizeEst.ofPostProcessing(10, 10, 100) - SizeEst.ofPostProcessing(10, 10, 0) ==
+      SizeEst.ofMatchingScratch(100))
   }
 }
