@@ -1,10 +1,10 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{EmbeddingCosineSimilarity, KoiosParams}
+import repro.core.KoiosParams
 import repro.data.SemanticData
-import repro.dist.{KoiosSpark, SetStore}
-import repro.harness.TableRuns
+import repro.dist.KoiosSpark
+import repro.harness.{PartitionedEngines, TableRuns}
 
 /** spark-submit entrypoints, one per evaluation table.
   *
@@ -13,8 +13,8 @@ import repro.harness.TableRuns
   *
   * Tables I–V run the same harness as `sbt "bench/test"` and print the table
   * (paper numbers → measured). [[DistributedKoios]] additionally exercises
-  * the Spark engine end-to-end (DataFrame sim-table → mapPartitions Koios →
-  * global top-k merge) on the WDC-lite profile.
+  * the Spark engine end-to-end (shared probe on the driver → Koios in one
+  * Spark task per partition → global top-k merge) on the WDC-lite profile.
   */
 object TableI {
   def main(args: Array[String]): Unit = TableRuns.tableI().foreach(println)
@@ -48,24 +48,20 @@ object DistributedKoios {
     val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("koios-distributed")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    val partitions = args.lift(1).map(_.toInt).getOrElse(10)
+    val ds = SemanticData.generate(SemanticData.wdcLite)
+    val engines = new PartitionedEngines(ds, partitions)
     try {
       val queryId = args.headOption.map(_.toLong).getOrElse(0L)
-      val partitions = args.lift(1).map(_.toInt).getOrElse(10)
-      val ds = SemanticData.generate(SemanticData.wdcLite)
-      val setsDf = SetStore.toDF(spark, ds.sets).cache()
       val query = ds.sets.find(_.id == queryId).getOrElse(ds.sets.head).tokens
-      val simFn = new EmbeddingCosineSimilarity(ds.embeddings)
-      val t0 = System.nanoTime()
-      val (topk, stats) = KoiosSpark.topK(spark, setsDf, query.toSeq, simFn,
-        KoiosParams(k = 10, alpha = 0.8), partitions)
-      val wallS = (System.nanoTime() - t0) / 1e9
+      val (topk, stats, wallMs) =
+        new KoiosSpark(spark, engines).topK(query.toSeq, KoiosParams(k = 10, alpha = 0.8))
       println(f"query set $queryId (|Q|=${query.length}) on ${ds.sets.length} sets, $partitions partitions")
-      println(f"wall ${wallS}%.2f s | candidates ${stats.candidates} | iUB-pruned ${stats.iubPruned} | " +
+      println(f"wall ${wallMs / 1e3}%.2f s | candidates ${stats.candidates} | iUB-pruned ${stats.iubPruned} | " +
         f"No-EM ${stats.noEm} | EM-early ${stats.emEarlyTerminated} | EM ${stats.emComputed}")
       println("top-k:")
       topk.foreach(r => println(f"  set ${r.id}%6d  SO = ${r.score}%.4f"))
-    } finally spark.stop()
+    } finally { engines.shutdown(); spark.stop() }
   }
 }

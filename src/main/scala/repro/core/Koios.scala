@@ -18,7 +18,7 @@ final class SetCollection(val records: IndexedSeq[SetRecord]) extends Serializab
   * (Alg. 2), and record phase timings, filter counters and a memory estimate.
   * The baselines ([[BaselineEngine]]) are this pipeline with other phases.
   */
-class KoiosEngine(collection: SetCollection, index: SimilarityIndex) extends Serializable {
+class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
 
   /** Candidate selection over the token stream. */
   protected def candidatePhase(stream: TokenStream, query: Array[String], params: KoiosParams,

@@ -54,7 +54,10 @@ object PostProcessing {
     // Survivors arrive pre-sorted descending by UB.
     val all = refinement.survivors.map(sv => new PostSet(sv.idx, sv.lb, sv.ub))
     val lub = mutable.ArrayBuffer.empty[PostSet] // ≤ k entries, the top UBs
-    val qub = mutable.PriorityQueue.empty[PostSet](Ordering.by(p => (p.ub, -p.idx)))
+    val qub = mutable.PriorityQueue.empty[PostSet] { (a: PostSet, b: PostSet) =>
+      val c = java.lang.Double.compare(a.ub, b.ub) // highest UB, then lowest idx
+      if (c != 0) c else Integer.compare(b.idx, a.idx)
+    }
     all.take(params.k).foreach(lub += _)
     all.drop(params.k).foreach(qub.enqueue(_))
 
@@ -141,7 +144,7 @@ object PostProcessing {
           timedOut = true
           ScoredSet(id, c.lb)
       }
-    }.sortBy(r => (-r.score, r.id)).toSeq
+    }.sorted(ByScore).toSeq
 
     PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut, scratch.maxN)
   }
@@ -157,7 +160,7 @@ object PostProcessing {
                 deadlineNanos: Long): PostProcessingOutput = {
     val scratch = new Matching.Scratch
     val weightsOf = matrices(records, candidates, query, params, scratch)
-    val topk = mutable.PriorityQueue.empty[ScoredSet](Ordering.by(r => (-r.score, r.id)))
+    val topk = mutable.PriorityQueue.empty(ByScore)
     var emDone = 0
     var timedOut = candidates.timedOut
     val it = candidates.survivors.iterator
@@ -175,7 +178,7 @@ object PostProcessing {
           timedOut = true
       }
     }
-    PostProcessingOutput(topk.toSeq.sortBy(r => (-r.score, r.id)), noEm = 0,
+    PostProcessingOutput(topk.toSeq.sorted(ByScore), noEm = 0,
       emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut,
       largestMatching = scratch.maxN)
   }
@@ -196,4 +199,10 @@ object PostProcessing {
   }
 
   private val NoEdges = Array.empty[(Int, Double)]
+
+  /** Descending score, then ascending id: the order of a top-k answer. */
+  private val ByScore: Ordering[ScoredSet] = (a, b) => {
+    val c = java.lang.Double.compare(b.score, a.score)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
 }

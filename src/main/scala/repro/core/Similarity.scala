@@ -5,7 +5,7 @@ package repro.core
   * Must be symmetric, return 1 for identical elements, and a value in [0, 1]
   * otherwise. The α threshold is applied by callers (`sim_α`), not here.
   */
-trait TokenSimilarity extends Serializable {
+trait TokenSimilarity {
   def sim(a: String, b: String): Double
 
   /** sim_α from Def. 1: values below the threshold are zeroed. */
@@ -63,9 +63,8 @@ final class JaccardQGramSimilarity(q: Int = 3) extends TokenSimilarity {
   require(q >= 1, s"q must be >= 1, got $q")
 
   // Gram sets are recomputed |Q|·|D| times during brute-force probing; the
-  // cache is concurrent because partitions probe in parallel.
-  @transient private lazy val cache =
-    new java.util.concurrent.ConcurrentHashMap[String, Set[String]]()
+  // cache is concurrent because the probe's chunks run in parallel.
+  private val cache = new java.util.concurrent.ConcurrentHashMap[String, Set[String]]()
 
   def grams(t: String): Set[String] = {
     val hit = cache.get(t)

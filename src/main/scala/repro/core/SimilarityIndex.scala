@@ -9,7 +9,7 @@ import scala.collection.mutable
   * determinism). This is the abstraction the paper plugs Faiss / minhash-LSH
   * into; Koios only requires that results are exact and ordered.
   */
-trait SimilarityIndex extends Serializable {
+trait SimilarityIndex {
   def neighbors(q: String, alpha: Double): Array[(String, Double)]
 
   /** `neighbors` of each query token, in query order. An index may score the
@@ -224,24 +224,4 @@ final class QGramPrefixIndex(vocab: Array[String], jaccard: JaccardQGramSimilari
       .filter(_._2 >= alpha)
       .toArray)
   }
-}
-
-/** Index backed by precomputed (query token → neighbors) lists — used on
-  * Spark executors where the similarity table was computed once as a
-  * DataFrame, collected, and broadcast (§VI scale-out). The lists are checked
-  * and sorted once, here, so a probe only applies the α filter. A value that
-  * is not finite or not in [0, 1] breaks the similarity contract the
-  * refinement bounds assume and throws `IllegalArgumentException` naming the
-  * pair.
-  */
-final class PrecomputedSimilarityIndex(lists: Map[String, Array[(String, Double)]])
-    extends SimilarityIndex {
-  for ((q, xs) <- lists; (t, s) <- xs if !(s >= 0.0 && s <= 1.0))
-    throw new IllegalArgumentException(
-      s"similarity contract broken: sim($q, $t) = $s is not in [0, 1]")
-
-  private val sorted = lists.map { case (q, xs) => q -> xs.sortBy { case (t, s) => (-s, t) } }
-
-  override def neighbors(q: String, alpha: Double): Array[(String, Double)] =
-    sorted.getOrElse(q, Array.empty[(String, Double)]).filter(_._2 >= alpha)
 }

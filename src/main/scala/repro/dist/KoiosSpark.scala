@@ -1,62 +1,24 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
+import repro.harness.PartitionedEngines
 
-/** Distributed top-k semantic overlap search (§VI scale-out).
-  *
-  * [[topK]] is **distributed Koios**: the similarity table is computed once
-  * as a DataFrame (scan + UDF + α filter), collected and shipped to executors
-  * as a [[PrecomputedSimilarityIndex]]; the repository is randomly
-  * repartitioned and the full Koios filter stack runs per partition inside
-  * `mapPartitions`; per-partition top-k lists (with finalized exact scores)
-  * are merged on the driver. Exact: the global top-k is contained in the
-  * union of per-partition top-k lists. Unlike the paper we do not share a
-  * global θ_lb across partitions (no cheap shared state between Spark
-  * tasks) — this costs pruning power, never correctness.
+/** Distributed Koios (§VI scale-out): [[PartitionedEngines.run]] with one
+  * Spark task per partition as the executor, so the answer and every count
+  * are those of the thread pool on the same engines. The partitions are
+  * cached on the executors once, by a local checkpoint, which also drops
+  * them from the RDD's lineage: a query's tasks carry the probed lists, not
+  * the sets, and build no index. A lost executor loses its partitions.
   */
-object KoiosSpark {
+final class KoiosSpark(spark: SparkSession, engines: PartitionedEngines) {
 
-  /** Collects the DataFrame similarity table into per-query-token neighbor
-    * lists for executor-side token streams.
-    */
-  def collectSimIndex(simTableDf: DataFrame, query: Array[String]): PrecomputedSimilarityIndex = {
-    val byQ = simTableDf.collect()
-      .map(r => (r.getAs[Int]("q_idx"), (r.getAs[String]("token"), r.getAs[Double]("sim"))))
-      .groupBy(_._1)
-    new PrecomputedSimilarityIndex(
-      query.indices.flatMap { qi =>
-        byQ.get(qi).map(arr => query(qi) -> arr.map(_._2))
-      }.toMap)
-  }
+  private val parts =
+    spark.sparkContext.parallelize(engines.parts, engines.parts.length).localCheckpoint()
+  parts.count()
 
-  /** Distributed Koios. Returns the exact global top-k and the stats merged
-    * by [[SearchResult.merge]].
-    */
-  def topK(spark: SparkSession, setsDf: DataFrame, query: Seq[String],
-           simFn: TokenSimilarity, params: KoiosParams,
-           numPartitions: Int): (Seq[ScoredSet], SearchStats) = {
-    import spark.implicits._
-    val q = query.distinct.toArray
-    val simIdx = collectSimIndex(TokenSimJoin.simTable(setsDf, q, simFn, params.alpha), q)
-    val bc = spark.sparkContext.broadcast(simIdx)
-
-    val perPartition = setsDf
-      .select("id", "tokens")
-      .as[SetRow]
-      .repartition(numPartitions)
-      .mapPartitions { it =>
-        val records = it.map(r => SetRecord(r.id, r.tokens)).toIndexedSeq
-        if (records.isEmpty) Iterator.empty
-        else {
-          val engine = new KoiosEngine(new SetCollection(records), bc.value)
-          Iterator.single(engine.search(q.toSeq, params))
-        }
-      }
-      .collect()
-      .toSeq
-
-    val merged = SearchResult.merge(perPartition, params.k)
-    (merged.topk, merged.stats)
-  }
+  /** The exact global top-k, the merged stats and the wall time in ms. */
+  def topK(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
+    engines.run(query, params, (c, index) => q => new KoiosEngine(c, index).search(q, params),
+      search => parts.map(search).collect().toSeq)
 }

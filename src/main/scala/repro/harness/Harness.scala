@@ -9,13 +9,12 @@ import repro.core._
 import repro.data.SemanticDataset
 
 /** Driver-side scale-out mirror of §VI: the repository is randomly split
-  * into `p` partitions, Koios (or a baseline) runs on each partition on a
-  * thread pool — the paper's single-machine setup — and the per-partition
-  * top-k lists are merged. The Spark `mapPartitions` engine
-  * ([[repro.dist.KoiosSpark]]) is the distributed twin of this harness and
-  * is validated against it in tests; benches use this in-process version so
-  * reported response times measure the algorithm, not job-scheduling
-  * overhead.
+  * into `p` partitions, Koios (or a baseline) runs on each partition, and the
+  * per-partition top-k lists are merged. By default the partitions run on a
+  * thread pool (the paper's single-machine setup), so reported response
+  * times measure the algorithm, not job-scheduling overhead;
+  * [[repro.dist.KoiosSpark]] runs the same protocol with Spark tasks as the
+  * executor, and is validated against the pool in tests.
   *
   * As in the paper (§IV), one similarity index covers the whole vocabulary:
   * `run` probes it once per query and every partition reads the shared
@@ -53,30 +52,35 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   def similarity: TokenSimilarity = simFn
 
   /** Probes the query's distinct tokens once, in one chunk per pool thread,
-    * then runs `engineOf(partition, view)` on every partition in parallel and
+    * then has `execute` run `engineOf(partition, view)` on every partition
+    * (the pool by default; Spark tasks in [[repro.dist.KoiosSpark]]) and
     * merges with [[SearchResult.merge]]. The merged `probeMs` is the shared
     * probe's wall time plus the slowest partition's stream build. `wallMs` is
     * the measured wall clock.
     */
   def run(query: Seq[String], params: KoiosParams,
-          engineOf: (SetCollection, SimilarityIndex) => Seq[String] => SearchResult)
+          engineOf: (SetCollection, SimilarityIndex) => Seq[String] => SearchResult,
+          execute: (SetCollection => SearchResult) => Seq[SearchResult] = onPool)
       : (Seq[ScoredSet], SearchStats, Double) = {
     val t0 = System.nanoTime()
     val tokens = query.distinct.toArray
     // Whole groups of four: the brute-force kernel scores four tokens a pass.
     val chunk = math.max(4, ((tokens.length + threads - 1) / threads + 3) / 4 * 4)
-    val lists = Await.result(Future.traverse(tokens.grouped(chunk).toSeq)(c =>
-      Future(index.neighborsAll(c, params.alpha))), Duration.Inf).flatten
-    val probed = tokens.iterator.zip(lists.iterator).toMap
+    val probes = tokens.grouped(chunk).map(c => Future(index.neighborsAll(c, params.alpha))).toVector
+    val probed = tokens.iterator.zip(probes.iterator.flatMap(awaited(_).iterator)).toMap
     val probeMs = (System.nanoTime() - t0) / 1e6
-    val futures = parts.map { c =>
-      Future(engineOf(c, new PartitionView(probed, params.alpha, index, c))(query))
-    }
-    val results = Await.result(Future.sequence(futures), Duration.Inf)
+    val results = execute(c => engineOf(c, new PartitionView(probed, params.alpha, c))(query))
     val wallMs = (System.nanoTime() - t0) / 1e6
     val merged = SearchResult.merge(results, params.k)
     (merged.topk, merged.stats.copy(probeMs = probeMs + merged.stats.probeMs), wallMs)
   }
+
+  // Starts every task, then awaits each in order: no callback is chained on
+  // a future, so a failed task leaves nothing for `shutdown` to reject.
+  private def onPool(search: SetCollection => SearchResult): Seq[SearchResult] =
+    parts.map(c => Future(search(c))).map(awaited)
+
+  private def awaited[A](f: Future[A]): A = Await.result(f, Duration.Inf)
 
   def runKoios(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
     run(query, params, (c, i) => q => new KoiosEngine(c, i).search(q, params))
@@ -92,15 +96,18 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   * contains. This is exactly what an index over the partition's own
   * vocabulary returns: the scores are computed by the same code, a token
   * outside the partition has no posting list there, and dropping entries
-  * from a list sorted by (−sim, token) keeps that order. A token or α not
-  * covered by the shared probe is probed on the shared index.
+  * from a list sorted by (−sim, token) keeps that order. Every engine asks
+  * only for the query's distinct tokens at the run's α, which the probe
+  * covered; any other token or α throws `IllegalArgumentException`.
   */
 private final class PartitionView(probed: Map[String, Array[(String, Double)]], alpha: Double,
-                                  shared: SimilarityIndex, part: SetCollection)
+                                  part: SetCollection)
     extends SimilarityIndex {
-  override def neighbors(q: String, a: Double): Array[(String, Double)] =
-    (if (a == alpha) probed.get(q) else None).getOrElse(shared.neighbors(q, a))
+  override def neighbors(q: String, a: Double): Array[(String, Double)] = {
+    require(a == alpha, s"α = $a was not probed; the run probed α = $alpha")
+    probed.getOrElse(q, throw new IllegalArgumentException(s"token '$q' was not probed"))
       .filter(n => part.inverted.contains(n._1))
+  }
 }
 
 /** Aggregated per-benchmark statistics (averages over queries, as §VIII). */
@@ -161,7 +168,4 @@ object Report {
     val w = new java.io.PrintWriter(f)
     try w.print(text) finally w.close()
   }
-
-  def row(cells: Seq[String], widths: Seq[Int]): String =
-    cells.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", "| ", "|")
 }

@@ -4,7 +4,7 @@ import scala.util.Random
 
 import repro.core._
 import repro.data.{SemanticData, SemanticDataset}
-import repro.dist.{KoiosSpark, SetStore}
+import repro.dist.KoiosSpark
 import repro.fuzzy.SilkMothLite
 import repro.harness.PartitionedEngines
 
@@ -31,8 +31,7 @@ class HostileInputSpec extends SparkSpec {
       Seq(
         "KoiosEngine.search" -> single.search(query, params).topk,
         s"PartitionedEngines.run (p = $partitions)" -> engines.runKoios(query, params)._1,
-        s"KoiosSpark.topK (p = $partitions)" ->
-          KoiosSpark.topK(spark, SetStore.toDF(spark, records), query, simFn, params, partitions)._1,
+        s"KoiosSpark.topK (p = $partitions)" -> new KoiosSpark(spark, engines).topK(query, params)._1,
         "SilkMothLite.topK" ->
           new SilkMothLite(repo, simFn, alpha, syntactic = false).topK(query, k, theta))
     } finally engines.shutdown()

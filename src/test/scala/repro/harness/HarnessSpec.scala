@@ -114,6 +114,63 @@ class HarnessSpec extends AnyFunSuite {
     }
   }
 
+  /** Koios composed from its public layers, as the benchmark's traced engine
+    * composes it: the same query normalisation and deadline, then
+    * `new TokenStream`, `Refinement.run` and `PostProcessing.run`.
+    */
+  private def layered(part: SetCollection, index: SimilarityIndex, queryTokens: Seq[String],
+                      params: KoiosParams): SearchResult = {
+    val query = queryTokens.distinct.toArray
+    val deadline =
+      if (params.timeoutMs > 0) System.nanoTime() + params.timeoutMs * 1000000L else 0L
+    val stream = new TokenStream(query, index, params.alpha)
+    val ref = Refinement.run(part.records, part.inverted, stream, query, params, deadline)
+    val post = PostProcessing.run(part.records, ref, query, params, deadline)
+    SearchResult(post.results.take(params.k), SearchStats(
+      candidates = ref.candidates,
+      iubPruned = ref.iubPruned,
+      survivors = ref.survivors.length,
+      noEm = post.noEm,
+      emEarlyTerminated = post.emEarlyTerminated,
+      emComputed = post.emComputed,
+      finalizeEms = post.finalizeEms,
+      streamTuples = ref.streamTuples,
+      thetaLbFinal = ref.topkLb.threshold,
+      timedOut = ref.timedOut || post.timedOut))
+  }
+
+  /** The counts the benchmark's traced engine must reproduce. */
+  private def counts(s: SearchStats): Seq[Any] =
+    Seq(s.candidates, s.iubPruned, s.survivors, s.noEm, s.emEarlyTerminated, s.emComputed,
+      s.finalizeEms, s.streamTuples, s.thetaLbFinal, s.timedOut)
+
+  for (p <- Seq(1, 10))
+    test(s"p = $p: Koios composed from its layers on each partition's view equals KoiosEngine.search") {
+      val eng = new PartitionedEngines(tiny, p)
+      try {
+        val rng = new Random(153)
+        val queries = hostileQueries ++ Seq.fill(4)(tiny.sets(rng.nextInt(tiny.sets.length)).tokens.toSeq)
+        for (reduced <- Seq(false, true); query <- queries) {
+          val params = BenchSuite.Params.copy(reducedGraphs = reduced)
+          eng.parts.zip(viewsAndResults(eng, query, params)).foreach { case (part, (view, result)) =>
+            val own = layered(part, view, query, params)
+            assert(own.topk == result.topk, s"reduced = $reduced, query $query")
+            assert(counts(own.stats) == counts(result.stats), s"reduced = $reduced, query $query")
+          }
+        }
+      } finally eng.shutdown()
+    }
+
+  test("a partition's view answers only the tokens and α the run probed") {
+    val q = tiny.sets.head.tokens.toSeq
+    val (view, _) = viewsAndResults(engines, q, KoiosParams(3, 0.8)).head
+    assert(view.neighbors(q.head, 0.8).nonEmpty)
+    val token = intercept[IllegalArgumentException](view.neighbors("no-such-token", 0.8))
+    assert(token.getMessage.contains("no-such-token"))
+    val alpha = intercept[IllegalArgumentException](view.neighbors(q.head, 0.7))
+    assert(alpha.getMessage.contains("0.7"))
+  }
+
   test("a similarity that breaks its contract fails the query") {
     val broken = new TokenSimilarity {
       def sim(a: String, b: String): Double = if (a == b) 1.0 else 1.5
