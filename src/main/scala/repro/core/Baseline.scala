@@ -26,9 +26,6 @@ final class BaselineEngine(repo: SetCollection, index: SimilarityIndex,
                                      params: KoiosParams,
                                      deadlineNanos: Long): PostProcessingOutput =
     PostProcessing.verifyAll(repo.records, candidates, query, params, deadlineNanos)
-
-  override protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long =
-    if (useIubFilter) super.boundStateBytes(candidates, queryLen) else 0L
 }
 
 /** Unfiltered candidate generation: drains the token stream and admits every

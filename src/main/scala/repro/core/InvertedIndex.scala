@@ -41,9 +41,6 @@ final class InvertedIndex private (
 
   /** Number of distinct tokens |D|. */
   def vocabularySize: Int = vocabulary.length
-
-  /** Aggregate posting length Σ|C| — the index's linear size (§VII-B). */
-  val totalPostings: Long = recordIds.iterator.map(_.length.toLong).sum
 }
 
 object InvertedIndex {

@@ -15,7 +15,8 @@ final class SetCollection(val records: IndexedSeq[SetRecord]) extends Serializab
 /** End-to-end Koios search on one repository (one partition in the
   * distributed setting): normalise the query, probe the similarity index
   * into the token stream, run refinement (Alg. 1) then post-processing
-  * (Alg. 2), and record phase timings, filter counters and a memory estimate.
+  * (Alg. 2), and record phase timings, filter counters and the heap bytes the
+  * search allocated.
   * The baselines ([[BaselineEngine]]) are this pipeline with other phases.
   */
 class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
@@ -30,18 +31,8 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
                             params: KoiosParams, deadlineNanos: Long): PostProcessingOutput =
     PostProcessing.run(collection.records, candidates, query, params, deadlineNanos)
 
-  /** Estimated bytes of the bound state the candidate phase kept: its
-    * record- and token-indexed arrays, the matched bits of its candidates and
-    * one heap entry per candidate (more after iUB steps).
-    */
-  protected def boundStateBytes(candidates: RefinementOutput, queryLen: Int): Long = {
-    val records = collection.records.length
-    SizeEst.ofCandidates(records, collection.inverted.vocabularySize, candidates.candidates,
-      queryLen, avgCard = collection.inverted.totalPostings.toDouble / math.max(1, records)) +
-      SizeEst.ofBuckets(candidates.candidates)
-  }
-
   final def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
+    val allocated0 = KoiosEngine.threads.getCurrentThreadAllocatedBytes
     val query = queryTokens.distinct.toArray
     val deadline =
       if (params.timeoutMs > 0) System.nanoTime() + params.timeoutMs * 1000000L else 0L
@@ -53,12 +44,6 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
     val t1 = System.nanoTime()
     val post = verifyPhase(cands, query, params, deadline)
     val t2 = System.nanoTime()
-
-    val mem =
-      SizeEst.ofTokenStream(stream.bufferedPairs) +
-        SizeEst.ofEdgeCache(cands.edgeCache) +
-        boundStateBytes(cands, query.length) +
-        SizeEst.ofPostProcessing(params.k, cands.survivors.length, post.largestMatching)
 
     SearchResult(
       topk = post.results.take(params.k),
@@ -74,8 +59,15 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
         probeMs = (tStream - t0) / 1e6,
         refinementMs = (t1 - tStream) / 1e6,
         postprocMs = (t2 - t1) / 1e6,
-        memBytes = mem,
+        memBytes = KoiosEngine.threads.getCurrentThreadAllocatedBytes - allocated0,
         thetaLbFinal = cands.topkLb.threshold,
         timedOut = cands.timedOut || post.timedOut))
   }
+}
+
+object KoiosEngine {
+  /** Per-thread allocation counter: a search runs on one thread. */
+  private val threads =
+    java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
 }

@@ -47,7 +47,7 @@ object Matching {
     private[core] var cols = 0
     private[core] var n = 0
     /** Largest n this scratch has held. */
-    private[core] var maxN = 0
+    private var maxN = 0
     private[core] var w: Array[Double] = Array.emptyDoubleArray
     private[core] var lx: Array[Double] = Array.emptyDoubleArray
     private[core] var ly: Array[Double] = Array.emptyDoubleArray

@@ -9,8 +9,7 @@ final case class PostProcessingOutput(
     emEarlyTerminated: Int,
     emComputed: Int,
     finalizeEms: Int,
-    timedOut: Boolean,
-    largestMatching: Int)
+    timedOut: Boolean)
 
 /** Algorithm 2 — verification of refinement survivors.
   *
@@ -144,9 +143,9 @@ object PostProcessing {
           timedOut = true
           ScoredSet(id, c.lb)
       }
-    }.sorted(ByScore).toSeq
+    }.sorted(ScoredSet.ByScore).toSeq
 
-    PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut, scratch.maxN)
+    PostProcessingOutput(results, noEm, emEarly, emDone, finalized, timedOut)
   }
 
   /** The baselines' verification (§VIII-A4): an exact matching for every
@@ -160,7 +159,7 @@ object PostProcessing {
                 deadlineNanos: Long): PostProcessingOutput = {
     val scratch = new Matching.Scratch
     val weightsOf = matrices(records, candidates, query, params, scratch)
-    val topk = mutable.PriorityQueue.empty(ByScore)
+    val topk = mutable.PriorityQueue.empty(ScoredSet.ByScore)
     var emDone = 0
     var timedOut = candidates.timedOut
     val it = candidates.survivors.iterator
@@ -178,9 +177,8 @@ object PostProcessing {
           timedOut = true
       }
     }
-    PostProcessingOutput(topk.toSeq.sorted(ByScore), noEm = 0,
-      emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut,
-      largestMatching = scratch.maxN)
+    PostProcessingOutput(topk.toSeq.sorted(ScoredSet.ByScore), noEm = 0,
+      emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut)
   }
 
   /** Matrix builder over the candidate phase's edge cache: writes the
@@ -199,10 +197,4 @@ object PostProcessing {
   }
 
   private val NoEdges = Array.empty[(Int, Double)]
-
-  /** Descending score, then ascending id: the order of a top-k answer. */
-  private val ByScore: Ordering[ScoredSet] = (a, b) => {
-    val c = java.lang.Double.compare(b.score, a.score)
-    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
-  }
 }

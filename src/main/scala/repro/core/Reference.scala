@@ -14,7 +14,7 @@ object Reference {
       .map(r => ScoredSet(r.id, Matching.semanticOverlapDirect(q, r.tokens, simFn, alpha)))
       .filter(_.score > 0.0)
       .toSeq
-      .sortBy(r => (-r.score, r.id))
+      .sorted(ScoredSet.ByScore)
   }
 
   /** True top-k (deterministic tie-break by id, matching the engines). */

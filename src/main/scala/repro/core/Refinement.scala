@@ -222,7 +222,7 @@ object Refinement {
     edgeCache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }
 
     RefinementOutput(
-      survivors = survivors.sortBy(sv => (-sv.ub, sv.idx)).toIndexedSeq,
+      survivors = survivors.sortInPlace()(ByUb).toIndexedSeq,
       edgeCache = frozen,
       topkLb = topkLb,
       candidates = nCandidates,
@@ -230,6 +230,12 @@ object Refinement {
       scanPruned = nScanPruned,
       streamTuples = tupleCount,
       timedOut = timedOut)
+  }
+
+  /** Descending upper bound, then ascending record: the order of `Q_ub`. */
+  private val ByUb: Ordering[Survivor] = (a, b) => {
+    val c = java.lang.Double.compare(b.ub, a.ub)
+    if (c != 0) c else Integer.compare(a.idx, b.idx)
   }
 
   /** A binary min-heap of (ubScore, record) entries on parallel arrays. */

@@ -38,9 +38,6 @@ final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Dou
     t
   }
 
-  /** Number of tuples emitted so far (for stats / space accounting). */
+  /** Number of tuples emitted so far (for stats). */
   def tuplesEmitted: Long = emitted.toLong
-
-  /** Aggregate buffered-list size — the O(|D|·|Q|) term of §VII-B. */
-  def bufferedPairs: Long = tuples.length.toLong
 }

@@ -21,6 +21,14 @@ object SetRecord {
 /** One result entry: a set id and its exact semantic overlap with the query. */
 final case class ScoredSet(id: Long, score: Double)
 
+object ScoredSet {
+  /** Descending score, then ascending id: the order of every top-k answer. */
+  val ByScore: Ordering[ScoredSet] = (a, b) => {
+    val c = java.lang.Double.compare(b.score, a.score)
+    if (c != 0) c else java.lang.Long.compare(a.id, b.id)
+  }
+}
+
 /** Filter/effort counters for one query, mirroring the paper's Tables II/IV/V.
   *
   *  - `candidates`       — sets admitted from the inverted index (non-zero SO).
@@ -36,7 +44,8 @@ final case class ScoredSet(id: Long, score: Double)
   *
   * Phase times: `probeMs` builds the token stream (probing the similarity
   * index), `refinementMs` is the candidate phase after it, `postprocMs` the
-  * verify phase.
+  * verify phase. `memBytes` is the heap the search allocated on its thread,
+  * garbage included, measured like the times.
   */
 final case class SearchStats(
     candidates: Int = 0,
@@ -88,7 +97,7 @@ object SearchResult {
     def slowest(f: SearchStats => Double): Double =
       parts.map(r => f(r.stats)).maxOption.getOrElse(0.0)
     SearchResult(
-      topk = parts.flatMap(_.topk).sortBy(r => (-r.score, r.id)).take(k),
+      topk = parts.flatMap(_.topk).sorted(ScoredSet.ByScore).take(k),
       stats = parts.map(_.stats).foldLeft(SearchStats())(_ + _)
         .copy(probeMs = slowest(_.probeMs), refinementMs = slowest(_.refinementMs),
           postprocMs = slowest(_.postprocMs)))

@@ -80,7 +80,7 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
       }
       if (deadline > 0 && System.nanoTime() > deadline) timedOut = true
     }
-    (out.sortBy(r => (-r.score, r.id)).toSeq, timedOut)
+    (out.sorted(ScoredSet.ByScore).toSeq, timedOut)
   }
 
   /** Top-k adaptation (§VIII-B): threshold search at the true `θ_k*`, then a

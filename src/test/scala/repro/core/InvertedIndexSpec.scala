@@ -30,11 +30,6 @@ class InvertedIndexSpec extends AnyFunSuite {
     assert(idx.vocabularySize == 5)
   }
 
-  test("totalPostings equals the aggregate set size Σ|C| (§VII-B)") {
-    val idx = InvertedIndex.build(records)
-    assert(idx.totalPostings == records.map(_.size).sum)
-  }
-
   test("random corpus: membership equivalence") {
     val rng = new Random(40)
     val recs = IndexedSeq.tabulate(50) { i =>
@@ -50,7 +45,6 @@ class InvertedIndexSpec extends AnyFunSuite {
   test("empty repository") {
     val idx = InvertedIndex.build(IndexedSeq.empty)
     assert(idx.vocabularySize == 0)
-    assert(idx.totalPostings == 0)
   }
 
   test("SetRecord deduplicates tokens") {

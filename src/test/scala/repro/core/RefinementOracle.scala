@@ -4,8 +4,9 @@ import scala.collection.mutable
 
 /** Test-only oracle: Algorithm 1 as it was written on `TreeSet` buckets, a
   * `HashMap[Int, Cand]` of boxed candidate states and string lookups, kept
-  * verbatim (only renamed, returning [[OracleOutput]] and counting the bucket
-  * scan's prunes in `scanPruned`) so `RefinementSpec` can check that the
+  * verbatim (only renamed, returning [[OracleOutput]], counting the bucket
+  * scan's prunes in `scanPruned` and showing its state to a
+  * [[RefinementObserver]]) so `RefinementSpec` can check that the
   * primitive-state [[Refinement]] takes every decision it takes.
   */
 final case class OracleOutput(
@@ -18,6 +19,23 @@ final case class OracleOutput(
     streamTuples: Long,
     timedOut: Boolean)
 
+/** A live candidate's bounds mid-stream: `lb ≤ SO ≤ ubScore + m·s`, with `s`
+  * the similarity of the tuple just processed.
+  */
+final case class LiveBounds(idx: Int, lb: Double, ubScore: Double, m: Int)
+
+/** Reads the oracle's state; it cannot change a decision. */
+trait RefinementObserver {
+  /** After each stream tuple (its bucket scan included): the tuple's
+    * similarity `s`, θ_lb, the live candidates, and the sets pruned while
+    * processing it, on arrival or by the bucket scan.
+    */
+  def step(s: Double, thetaLb: Double, live: => Iterable[LiveBounds], pruned: Seq[Int]): Unit = ()
+
+  /** After the stream: θ_lb and the sets the final UB check pruned. */
+  def end(thetaLb: Double, pruned: Seq[Int]): Unit = ()
+}
+
 object RefinementOracle {
 
   def run(records: IndexedSeq[SetRecord],
@@ -25,7 +43,8 @@ object RefinementOracle {
           stream: TokenStream,
           query: Array[String],
           params: KoiosParams,
-          deadlineNanos: Long): OracleOutput = {
+          deadlineNanos: Long,
+          observer: RefinementObserver = new RefinementObserver {}): OracleOutput = {
 
     val qTokenSet: Map[String, Int] = query.zipWithIndex.toMap
     val topkLb = new TreeTopKList(params.k)
@@ -57,10 +76,12 @@ object RefinementOracle {
     var nPruned = 0
     var nScanPruned = 0
     var timedOut = false
+    val prunedNow = mutable.ArrayBuffer.empty[Int] // for the observer only
 
     def pruneCandidate(idx: Int): Unit = {
       cands.remove(idx)
       pruned.set(idx)
+      prunedNow += idx
       nPruned += 1
       nScanPruned += 1
     }
@@ -141,6 +162,7 @@ object RefinementOracle {
                 // UB-Filter on arrival (Lemma 2 / initial iUB).
                 if (c.ubAt(s) < topkLb.threshold - Matching.PruneEps) {
                   pruned.set(idx); nPruned += 1
+                  prunedNow += idx
                 }
                 else {
                   cands.put(idx, c)
@@ -167,6 +189,9 @@ object RefinementOracle {
       }
 
       scanBuckets(s)
+      observer.step(s, topkLb.threshold,
+        cands.values.map(c => LiveBounds(c.idx, c.lb, c.ubScore, c.m)), prunedNow.toSeq)
+      prunedNow.clear()
 
       if ((tupleCount & 1023L) == 0L && deadlineNanos > 0 && System.nanoTime() > deadlineNanos)
         timedOut = true
@@ -177,9 +202,10 @@ object RefinementOracle {
     val theta = topkLb.threshold
     val survivors = new mutable.ArrayBuffer[Survivor](cands.size)
     cands.valuesIterator.foreach { c =>
-      if (c.ubScore < theta - Matching.PruneEps) nPruned += 1
+      if (c.ubScore < theta - Matching.PruneEps) { nPruned += 1; prunedNow += c.idx }
       else survivors += Survivor(c.idx, c.lb, c.ubScore)
     }
+    observer.end(theta, prunedNow.toSeq)
 
     val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
     edgeCache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }

@@ -164,12 +164,21 @@ class RefinementSpec extends AnyFunSuite {
     assert(out.survivors.isEmpty)
   }
 
-  test("refinement takes every decision of the TreeSet oracle (differential)") {
-    val rng = new Random(69)
+  /** One refinement input of the differential's random workload. */
+  private final class Run(val ctx: String, val f: TestData.Fixture, val coll: SetCollection,
+                          val index: SimilarityIndex, val query: Array[String],
+                          val params: KoiosParams) {
+    def stream: TokenStream = new TokenStream(query, index, params.alpha)
+  }
+
+  /** `trials` random fixtures (noise 0 gives identical vectors within a
+    * cluster: similarities tied at 1), each with six queries, every α, and k
+    * cycling through 1..5 and one above the candidate count.
+    */
+  private def randomRuns(seed: Int, trials: Int): Iterator[Run] = {
+    val rng = new Random(seed)
     val alphas = Seq(0.5, 0.7, 0.8, 0.9)
-    var scanned = 0 // runs whose bucket scan pruned a set mid-stream
-    for (trial <- 1 to 200) {
-      // Noise 0 gives identical vectors within a cluster: similarities tied at 1.
+    (1 to trials).iterator.flatMap { trial =>
       val f = TestData.fixture(rng, nSets = 10 + rng.nextInt(110), clusters = 3 + rng.nextInt(12),
         maxCard = 2 + rng.nextInt(14), noise = Seq(0.0, 0.1, 0.25, 0.5)(trial % 4))
       val coll = new SetCollection(f.records)
@@ -182,26 +191,69 @@ class RefinementSpec extends AnyFunSuite {
         "corpus tokens" -> TestData.randomQuery(rng, f),
         "a set" -> set,
         "a set and more" -> (set ++ TestData.randomQuery(rng, f) :+ "oov-a").distinct)
-      for (((name, query), qi) <- queries.zipWithIndex; (alpha, ai) <- alphas.zipWithIndex) {
-        // k cycles through 1..5 and one above the candidate count.
+      for (((name, query), qi) <- queries.zipWithIndex; (alpha, ai) <- alphas.zipWithIndex) yield {
         val k = Seq(1, 2, 3, 4, 5, f.records.length + 1)((trial + qi + ai) % 6)
-        val params = KoiosParams(k, alpha)
-        def stream = new TokenStream(query, index, alpha)
-        val got = Refinement.run(coll.records, coll.inverted, stream, query, params, 0L)
-        val want = RefinementOracle.run(coll.records, coll.inverted, stream, query, params, 0L)
-        val ctx = s"trial $trial, $name query ${query.mkString("{", ",", "}")}, k=$k, alpha=$alpha"
-        assert(got.survivors == want.survivors, ctx)
-        assert(got.candidates == want.candidates, ctx)
-        assert(got.iubPruned == want.iubPruned, ctx)
-        assert(got.scanPruned == want.scanPruned, ctx)
-        if (got.scanPruned > 0) scanned += 1
-        assert(got.streamTuples == want.streamTuples, ctx)
-        assert(got.topkLb.threshold == want.thetaLb, ctx)
-        assert(got.timedOut == want.timedOut, ctx)
-        assert(got.edgeCache.view.mapValues(_.toSeq).toMap ==
-          want.edgeCache.view.mapValues(_.toSeq).toMap, ctx)
+        new Run(s"trial $trial, $name query ${query.mkString("{", ",", "}")}, k=$k, alpha=$alpha",
+          f, coll, index, query, KoiosParams(k, alpha))
       }
     }
+  }
+
+  test("refinement takes every decision of the TreeSet oracle (differential)") {
+    var scanned = 0 // runs whose bucket scan pruned a set mid-stream
+    for (run <- randomRuns(seed = 69, trials = 200)) {
+      import run._
+      val got = Refinement.run(coll.records, coll.inverted, stream, query, params, 0L)
+      val want = RefinementOracle.run(coll.records, coll.inverted, stream, query, params, 0L)
+      assert(got.survivors == want.survivors, ctx)
+      assert(got.candidates == want.candidates, ctx)
+      assert(got.iubPruned == want.iubPruned, ctx)
+      assert(got.scanPruned == want.scanPruned, ctx)
+      if (got.scanPruned > 0) scanned += 1
+      assert(got.streamTuples == want.streamTuples, ctx)
+      assert(got.topkLb.threshold == want.thetaLb, ctx)
+      assert(got.timedOut == want.timedOut, ctx)
+      assert(got.edgeCache.view.mapValues(_.toSeq).toMap ==
+        want.edgeCache.view.mapValues(_.toSeq).toMap, ctx)
+    }
     assert(scanned > 0, "no run pruned a set in the bucket scan")
+  }
+
+  test("after every stream tuple the oracle's bounds bracket SO and pruned sets are below θ_k*") {
+    var steps = 0
+    var prunedMidStream = 0
+    var prunedAtEnd = 0
+    for (run <- randomRuns(seed = 71, trials = 60)) {
+      import run._
+      val so = f.records.map(r => Matching.semanticOverlapDirect(query, r.tokens, f.simFn, params.alpha))
+      val positive = so.filter(_ > 0.0).sorted(Ordering[Double].reverse)
+      val thetaStar = if (positive.length < params.k) 0.0 else positive(params.k - 1)
+      def belowThetaStar(pruned: Seq[Int], where: String): Unit = pruned.foreach { idx =>
+        assert(so(idx) < thetaStar + Matching.PruneEps,
+          s"$ctx: set $idx pruned $where with SO ${so(idx)}, θ_k* $thetaStar")
+      }
+      RefinementOracle.run(coll.records, coll.inverted, stream, query, params, 0L,
+        new RefinementObserver {
+          override def step(s: Double, thetaLb: Double, live: => Iterable[LiveBounds],
+                            pruned: Seq[Int]): Unit = {
+            steps += 1
+            assert(thetaLb <= thetaStar + 1e-9, s"$ctx: θ_lb $thetaLb above θ_k* $thetaStar")
+            live.foreach { b =>
+              assert(b.lb <= so(b.idx) + 1e-9, s"$ctx: set ${b.idx} lb ${b.lb} above SO ${so(b.idx)}")
+              assert(so(b.idx) <= b.ubScore + b.m * s + 1e-9,
+                s"$ctx: set ${b.idx} SO ${so(b.idx)} above iUB ${b.ubScore} + ${b.m}·$s")
+            }
+            belowThetaStar(pruned, "mid-stream")
+            prunedMidStream += pruned.length
+          }
+          override def end(thetaLb: Double, pruned: Seq[Int]): Unit = {
+            assert(thetaLb <= thetaStar + 1e-9, s"$ctx: θ_lb $thetaLb above θ_k* $thetaStar")
+            belowThetaStar(pruned, "at stream end")
+            prunedAtEnd += pruned.length
+          }
+        })
+    }
+    assert(steps > 0 && prunedMidStream > 0 && prunedAtEnd > 0,
+      s"steps $steps, pruned mid-stream $prunedMidStream, at stream end $prunedAtEnd")
   }
 }

@@ -11,8 +11,8 @@ import scala.util.Random
   */
 class KoiosSparkSpec extends SparkSpec {
 
-  private def withoutTimes(s: SearchStats): SearchStats =
-    s.copy(probeMs = 0, refinementMs = 0, postprocMs = 0)
+  private def withoutMeasurements(s: SearchStats): SearchStats =
+    s.copy(probeMs = 0, refinementMs = 0, postprocMs = 0, memBytes = 0)
 
   private def enginesOver(records: IndexedSeq[SetRecord], vectors: Map[String, Array[Float]],
                           partitions: Int, simOverride: Option[TokenSimilarity] = None) =
@@ -29,7 +29,7 @@ class KoiosSparkSpec extends SparkSpec {
       val (topk, stats, _) = onSpark.topK(q, params)
       val (poolTopk, poolStats, _) = eng.runKoios(q, params)
       assert(topk == poolTopk, s"query $q")
-      assert(withoutTimes(stats) == withoutTimes(poolStats), s"query $q")
+      assert(withoutMeasurements(stats) == withoutMeasurements(poolStats), s"query $q")
       (topk, stats)
     }
   }

@@ -80,8 +80,8 @@ class HarnessSpec extends AnyFunSuite {
     eng.parts.indices.map(seen.get)
   }
 
-  private def withoutTimes(s: SearchStats): SearchStats =
-    s.copy(probeMs = 0, refinementMs = 0, postprocMs = 0)
+  private def withoutMeasurements(s: SearchStats): SearchStats =
+    s.copy(probeMs = 0, refinementMs = 0, postprocMs = 0, memBytes = 0)
 
   for ((label, sim, alpha) <- Seq(
       ("cosine", None, 0.8),
@@ -106,7 +106,7 @@ class HarnessSpec extends AnyFunSuite {
             }
             val alone = new KoiosEngine(part, own).search(query, params)
             assert(result.topk == alone.topk)
-            assert(withoutTimes(result.stats) == withoutTimes(alone.stats))
+            assert(withoutMeasurements(result.stats) == withoutMeasurements(alone.stats))
           }
         }
         assert(longest >= 2, "every neighbour list held at most the token itself")
