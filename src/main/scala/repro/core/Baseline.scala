@@ -30,10 +30,11 @@ final class BaselineEngine(repo: SetCollection, index: SimilarityIndex,
 
 /** Unfiltered candidate generation: drains the token stream and admits every
   * set that contains a streamed token, i.e. every set with at least one
-  * α-neighbour of a query token, keeping the token → (qIdx, sim) edge cache
-  * for verification. No bound is maintained, so the candidates carry only
-  * the trivial bounds 0 ≤ SO ≤ min(|Q|,|C|) and come out in repository order;
-  * nothing is pruned. Shared by the plain Baseline and SilkMoth.
+  * α-neighbour of a query token, keeping the stream's (qIdx, sim) [[Edges]]
+  * by token id for verification. No bound is maintained, so the candidates
+  * carry only the trivial bounds 0 ≤ SO ≤ min(|Q|,|C|) and come out in
+  * repository order; nothing is pruned. Shared by the plain Baseline and
+  * SilkMoth.
   */
 object AllCandidates {
 
@@ -42,16 +43,18 @@ object AllCandidates {
           stream: TokenStream,
           query: Array[String],
           deadlineNanos: Long): RefinementOutput = {
-    val cache = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
+    val edges = new Edges(inverted.vocabularySize)
     val seen = new java.util.BitSet(records.length)
     var tuples = 0L
     var timedOut = false
     while (stream.hasNext && !timedOut) {
       val tup = stream.next()
       tuples += 1
-      cache.getOrElseUpdate(tup.token, new mutable.ArrayBuffer[(Int, Double)]()) +=
-        ((tup.qIdx, tup.sim))
-      inverted.get(tup.token).foreach(seen.set)
+      val id = inverted.idOf(tup.token)
+      if (id >= 0) {
+        edges.add(id, tup.qIdx, tup.sim)
+        inverted.postingsOf(id).foreach(seen.set)
+      }
       if ((tuples & 1023L) == 0L && deadlineNanos > 0 && System.nanoTime() > deadlineNanos)
         timedOut = true
     }
@@ -61,11 +64,10 @@ object AllCandidates {
       survivors += Survivor(i, 0.0, math.min(query.length, records(i).size).toDouble)
       i = seen.nextSetBit(i + 1)
     }
-    val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
-    cache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }
     RefinementOutput(
       survivors = survivors.toIndexedSeq,
-      edgeCache = frozen,
+      inverted = inverted,
+      edges = edges,
       topkLb = new TopKList(1), // stays empty: no lower bound, θ_lb = 0
       candidates = survivors.length,
       iubPruned = 0,

@@ -22,12 +22,6 @@ final class InvertedIndex private (
     if (id == null) -1 else id.intValue
   }
 
-  /** Posting list for `token` (empty if the token is not in the vocabulary). */
-  def get(token: String): Array[Int] = {
-    val id = idOf(token)
-    if (id < 0) InvertedIndex.Empty else postings(id)
-  }
-
   def contains(token: String): Boolean = ids.containsKey(token)
 
   /** Ascending repository positions of the sets containing token `id`. */
@@ -44,8 +38,6 @@ final class InvertedIndex private (
 }
 
 object InvertedIndex {
-  private val Empty = Array.empty[Int]
-
   /** Builds the index over a repository; `records(i)` is addressed by postings
     * containing `i`. Ids are assigned in order of first sight; the vocabulary
     * order is sorted, so downstream iteration is reproducible.

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Outcome of an exact matching computation. */
 sealed trait HungarianOutcome
 /** The matching ran to completion; `score` is the exact semantic overlap. */
@@ -38,9 +36,9 @@ object Matching {
   /** Per-query working memory of the kernel: one weight matrix at a time,
     * row-major and zero-padded to n×n with n = max(rows, cols), plus the
     * kernel's label, slack, way, match and tree arrays and the builder's
-    * column and row maps. Every array grows to the largest matching solved
-    * on it and is reused; [[weights]] zero-fills only the n² prefix of the
-    * matrix. Not thread-safe: one scratch per query (per thread).
+    * row map. Every array grows to the largest matching solved on it and is
+    * reused; [[weights]] zero-fills only the n² prefix of the matrix. Not
+    * thread-safe: one scratch per query (per thread).
     */
   final class Scratch {
     private[core] var rows = 0
@@ -58,7 +56,6 @@ object Matching {
     private[core] var sRows: Array[Int] = Array.emptyIntArray
     private[core] var tCols: Array[Int] = Array.emptyIntArray
     private[core] var inT: Array[Boolean] = Array.emptyBooleanArray
-    private[core] var colEdges: Array[Array[(Int, Double)]] = Array.empty
     private[core] var rowOf: Array[Int] = Array.emptyIntArray
 
     /** Sizes the scratch for a rows × cols matrix and zero-fills its n×n
@@ -76,8 +73,8 @@ object Matching {
     }
   }
 
-  /** Weight matrix of one (query, candidate) pair, from per-token edge
-    * lists, written into `s` (the matrix [[hungarianMax]] solves next).
+  /** Weight matrix of one (query, candidate) pair, from the search's edge
+    * table, written into `s` (the matrix [[hungarianMax]] solves next).
     *
     * Full (`reduced = false`) is the paper's matrix construction (§VIII-A3):
     * ALL query tokens × ALL candidate tokens, zero where no α-edge, exactly
@@ -87,74 +84,50 @@ object Matching {
     * stack pay off. Reduced (`KoiosParams.reducedGraphs`) keeps only the
     * query positions and candidate tokens with ≥1 α-edge, in their original
     * order — an optimization beyond the paper with identical scores. Either
-    * way a candidate without any α-edge gives the empty matrix.
+    * way a candidate without any α-edge gives the empty matrix. A cell keeps
+    * the largest similarity of its edges, so the order of a token's edges
+    * does not matter.
     *
-    * @param qCount  |Q|; rows are query positions
-    * @param cTokens candidate tokens; columns
-    * @param edgesOf token → (qIdx, sim) pairs with sim ≥ α (e.g. the stream's
-    *                similarity cache); tokens without entry have no edges
+    * @param qCount |Q|; rows are query positions
+    * @param cols   the candidate's token ids in `edges` (for a record of an
+    *               [[InvertedIndex]], `inverted.tokenIds(record)`); columns
+    * @param edges  token id → (qIdx, sim) edges with sim ≥ α (the token
+    *               stream's similarity cache); ids without edges have none
     */
-  def weights(qCount: Int, cTokens: Array[String], edgesOf: String => Array[(Int, Double)],
-              reduced: Boolean, s: Scratch): Unit = {
-    if (s.colEdges.length < cTokens.length) s.colEdges = new Array(cTokens.length)
-    val colEdges = s.colEdges
-    var nCols = 0
+  def weights(qCount: Int, cols: Array[Int], edges: Edges, reduced: Boolean, s: Scratch): Unit = {
+    // Row of each query position: reduced, the positions with an edge in
+    // order; full, every position.
+    if (s.rowOf.length < qCount) s.rowOf = new Array[Int](qCount)
+    val rowOf = s.rowOf
+    java.util.Arrays.fill(rowOf, 0, qCount, if (reduced) -1 else 0)
+    var edged = 0 // columns with an edge
     var c = 0
-    while (c < cTokens.length) {
-      val es = edgesOf(cTokens(c))
-      if (!reduced || es.nonEmpty) { colEdges(nCols) = es; nCols += 1 }
+    while (c < cols.length) {
+      var e = edges.head(cols(c))
+      if (e != 0) edged += 1
+      while (e != 0) { rowOf(edges.qIdx(e)) = 0; e = edges.next(e) }
       c += 1
     }
-    var nRows = qCount
-    var rowOf: Array[Int] = null // null: row = query position
-    if (reduced) {
-      if (s.rowOf.length < qCount) s.rowOf = new Array[Int](qCount)
-      rowOf = s.rowOf
-      java.util.Arrays.fill(rowOf, 0, qCount, -1)
-      c = 0
-      while (c < nCols) {
-        val es = colEdges(c)
-        var e = 0
-        while (e < es.length) { rowOf(es(e)._1) = 0; e += 1 }
-        c += 1
-      }
-      nRows = 0
-      var qi = 0
-      while (qi < qCount) { if (rowOf(qi) == 0) { rowOf(qi) = nRows; nRows += 1 }; qi += 1 }
-    }
-    s.reset(nRows, nCols)
+    var nRows = 0
+    var qi = 0
+    while (qi < qCount) { if (rowOf(qi) == 0) { rowOf(qi) = nRows; nRows += 1 }; qi += 1 }
+    if (edged == 0) { s.reset(0, 0); return }
+    s.reset(nRows, if (reduced) edged else cols.length)
     val w = s.w
     val n = s.n
-    var any = false
+    var col = 0
     c = 0
-    while (c < nCols) {
-      val es = colEdges(c)
-      var e = 0
-      while (e < es.length) {
-        val r = if (rowOf eq null) es(e)._1 else rowOf(es(e)._1)
-        val cell = r * n + c
-        w(cell) = math.max(w(cell), es(e)._2)
-        any = true
-        e += 1
+    while (c < cols.length) {
+      val first = edges.head(cols(c))
+      var e = first
+      while (e != 0) {
+        val cell = rowOf(edges.qIdx(e)) * n + col
+        w(cell) = math.max(w(cell), edges.sim(e))
+        e = edges.next(e)
       }
+      if (first != 0 || !reduced) col += 1
       c += 1
     }
-    if (!any) s.reset(0, 0)
-  }
-
-  /** Direct edge lists between explicit token arrays (reference path for
-    * tests and the brute-force reference).
-    */
-  def directEdges(qTokens: Array[String], simFn: TokenSimilarity, alpha: Double)
-      : String => Array[(Int, Double)] = { (c: String) =>
-    val buf = new mutable.ArrayBuffer[(Int, Double)]()
-    var qi = 0
-    while (qi < qTokens.length) {
-      val s = simFn.simAlpha(qTokens(qi), c, alpha)
-      if (s > 0.0) buf += ((qi, s))
-      qi += 1
-    }
-    buf.toArray
   }
 
   /** Maximum-weight bipartite matching of the matrix last written into `s`,
@@ -297,8 +270,14 @@ object Matching {
     */
   def semanticOverlapDirect(qTokens: Array[String], cTokens: Array[String],
                             simFn: TokenSimilarity, alpha: Double): Double = {
+    // One table for this record: token id = column.
+    val edges = new Edges(cTokens.length)
+    for (c <- cTokens.indices; qi <- qTokens.indices) {
+      val sim = simFn.simAlpha(qTokens(qi), cTokens(c), alpha)
+      if (sim > 0.0) edges.add(c, qi, sim)
+    }
     val s = new Scratch
-    weights(qTokens.length, cTokens, directEdges(qTokens, simFn, alpha), reduced = true, s)
+    weights(qTokens.length, Array.range(0, cTokens.length), edges, reduced = true, s)
     hungarianMax(s) match {
       case Completed(so) => so
       case other         => throw new IllegalStateException(s"unreachable without a threshold: $other")

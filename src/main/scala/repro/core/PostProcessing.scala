@@ -37,7 +37,7 @@ object PostProcessing {
 
     val topkLb = refinement.topkLb
     val scratch = new Matching.Scratch
-    val weightsOf = matrices(records, refinement, query, params, scratch)
+    val weightsOf = matrices(refinement, query, params, scratch)
 
     final class PostSet(val idx: Int, var lb: Double, var ub: Double) {
       var checked = false
@@ -158,7 +158,7 @@ object PostProcessing {
                 params: KoiosParams,
                 deadlineNanos: Long): PostProcessingOutput = {
     val scratch = new Matching.Scratch
-    val weightsOf = matrices(records, candidates, query, params, scratch)
+    val weightsOf = matrices(candidates, query, params, scratch)
     val topk = mutable.PriorityQueue.empty(ScoredSet.ByScore)
     var emDone = 0
     var timedOut = candidates.timedOut
@@ -181,20 +181,15 @@ object PostProcessing {
       emEarlyTerminated = 0, emComputed = emDone, finalizeEms = 0, timedOut = timedOut)
   }
 
-  /** Matrix builder over the candidate phase's edge cache: writes the
+  /** Matrix builder over the candidate phase's edge table: writes the
     * paper's full |Q|×|C| matrix (unless `reducedGraphs` is set) of a record
     * into the query's scratch.
     */
-  private def matrices(records: IndexedSeq[SetRecord], candidates: RefinementOutput,
-                       query: Array[String], params: KoiosParams,
-                       scratch: Matching.Scratch): Int => Matching.Scratch = {
-    val edgesOf: String => Array[(Int, Double)] =
-      t => candidates.edgeCache.getOrElse(t, NoEdges)
+  private def matrices(candidates: RefinementOutput, query: Array[String], params: KoiosParams,
+                       scratch: Matching.Scratch): Int => Matching.Scratch =
     idx => {
-      Matching.weights(query.length, records(idx).tokens, edgesOf, params.reducedGraphs, scratch)
+      Matching.weights(query.length, candidates.inverted.tokenIds(idx), candidates.edges,
+        params.reducedGraphs, scratch)
       scratch
     }
-  }
-
-  private val NoEdges = Array.empty[(Int, Double)]
 }

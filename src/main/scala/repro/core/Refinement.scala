@@ -11,15 +11,16 @@ import scala.collection.mutable
   */
 final case class Survivor(idx: Int, lb: Double, ub: Double)
 
-/** Output of the refinement phase. `edgeCache` maps each streamed token to
-  * its (qIdx, sim ≥ α) edges — the similarity cache the paper reuses to build
-  * matching matrices during post-processing (§VIII-A3). `iubPruned` counts
-  * every refinement prune; `scanPruned` is the part of it made mid-stream by
-  * the bucket scan.
+/** Output of the candidate phase. `edges` holds, per token id of `inverted`,
+  * the (qIdx, sim ≥ α) edges the stream emitted — the similarity cache the
+  * paper reuses to build matching matrices in post-processing (§VIII-A3).
+  * `iubPruned` counts every refinement prune; `scanPruned` is the part of it
+  * made mid-stream by the bucket scan.
   */
 final case class RefinementOutput(
     survivors: IndexedSeq[Survivor],
-    edgeCache: collection.Map[String, Array[(Int, Double)]],
+    inverted: InvertedIndex,
+    edges: Edges,
     topkLb: TopKList,
     candidates: Int,
     iubPruned: Int,
@@ -85,7 +86,7 @@ object Refinement {
     def isSet(word: Int, bit: Int): Boolean = (slab(word + (bit >>> 6)) & (1L << bit)) != 0L
     def setBit(word: Int, bit: Int): Unit = slab(word + (bit >>> 6)) |= 1L << bit
 
-    val edgeCache = mutable.HashMap.empty[String, mutable.ArrayBuffer[(Int, Double)]]
+    val edges = new Edges(inverted.vocabularySize)
 
     // Buckets by m ∈ 0..|Q|: min-heaps of (ubScore, idx) with lazy deletion.
     // An entry is live iff its set is live with that m; each iUB step pushes
@@ -131,11 +132,9 @@ object Refinement {
       val qi = tup.qIdx
       val s = tup.sim
 
-      val firstArrival = !edgeCache.contains(tup.token)
-      edgeCache.getOrElseUpdate(tup.token, new mutable.ArrayBuffer[(Int, Double)]()) += ((qi, s))
-
       val id = inverted.idOf(tup.token)
       if (id >= 0) {
+        val firstArrival = edges.add(id, qi, s)
         val isQueryToken = qPos(id) >= 0
         val posting = inverted.postingsOf(id)
         val position = inverted.positionsOf(id)
@@ -218,12 +217,10 @@ object Refinement {
       r += 1
     }
 
-    val frozen = mutable.HashMap.empty[String, Array[(Int, Double)]]
-    edgeCache.foreach { case (t, buf) => frozen.put(t, buf.toArray) }
-
     RefinementOutput(
       survivors = survivors.sortInPlace()(ByUb).toIndexedSeq,
-      edgeCache = frozen,
+      inverted = inverted,
+      edges = edges,
       topkLb = topkLb,
       candidates = nCandidates,
       iubPruned = nPruned + nScanPruned,

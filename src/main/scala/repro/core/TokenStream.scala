@@ -37,7 +37,4 @@ final class TokenStream(query: Array[String], index: SimilarityIndex, alpha: Dou
     emitted += 1
     t
   }
-
-  /** Number of tuples emitted so far (for stats). */
-  def tuplesEmitted: Long = emitted.toLong
 }

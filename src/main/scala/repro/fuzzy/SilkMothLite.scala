@@ -50,29 +50,31 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
     val query = queryTokens.distinct.toArray
     val cands = AllCandidates.run(repo.records, repo.inverted,
       new TokenStream(query, index, alpha), query, deadline)
-    val edgesOf: String => Array[(Int, Double)] =
-      t => cands.edgeCache.getOrElse(t, Array.empty[(Int, Double)])
+    val edges = cands.edges
 
     val scratch = new Matching.Scratch
     var timedOut = cands.timedOut
     val out = mutable.ArrayBuffer.empty[ScoredSet]
     val it = cands.survivors.iterator
     while (it.hasNext && !timedOut) {
-      val rec = repo.records(it.next().idx)
+      val idx = it.next().idx
+      val rec = repo.records(idx)
+      val cols = repo.inverted.tokenIds(idx)
       val verify =
         if (!syntactic) true
         else {
           // Capped per-element upper bound (generic SilkMoth check phase).
-          val maxSims = rec.tokens.iterator
-            .map(t => edgesOf(t).foldLeft(0.0)((m, e) => math.max(m, e._2)))
-            .filter(_ > 0.0)
-            .toArray
-            .sorted(Ordering[Double].reverse)
+          val maxSims = cols.map { t =>
+            var m = 0.0
+            var e = edges.head(t)
+            while (e != 0) { m = math.max(m, edges.sim(e)); e = edges.next(e) }
+            m
+          }.filter(_ > 0.0).sorted(Ordering[Double].reverse)
           maxSims.take(math.min(query.length, rec.size)).sum >= theta
         }
       if (verify) {
         // Same kernel as the engines' default: full |Q|×|C| matrix (§VIII-A3).
-        Matching.weights(query.length, rec.tokens, edgesOf, reduced = false, scratch)
+        Matching.weights(query.length, cols, edges, reduced = false, scratch)
         Matching.hungarianMax(scratch, deadlineNanos = deadline) match {
           case Completed(so) => if (so >= theta && so > 0.0) out += ScoredSet(rec.id, so)
           case _             => timedOut = true // Interrupted: no threshold is given

@@ -10,17 +10,22 @@ class InvertedIndexSpec extends AnyFunSuite {
     SetRecord(11L, Array("b", "d")),
     SetRecord(12L, Array("a", "d", "e")))
 
+  /** Posting list of `t`, empty for a token outside the vocabulary. */
+  private def postings(idx: InvertedIndex, t: String): Seq[Int] =
+    if (idx.idOf(t) < 0) Seq.empty else idx.postingsOf(idx.idOf(t)).toSeq
+
   test("postings contain exactly the sets holding each token") {
     val idx = InvertedIndex.build(records)
-    assert(idx.get("a").toSeq == Seq(0, 2))
-    assert(idx.get("b").toSeq == Seq(0, 1))
-    assert(idx.get("d").toSeq == Seq(1, 2))
-    assert(idx.get("e").toSeq == Seq(2))
+    assert(postings(idx, "a") == Seq(0, 2))
+    assert(postings(idx, "b") == Seq(0, 1))
+    assert(postings(idx, "d") == Seq(1, 2))
+    assert(postings(idx, "e") == Seq(2))
   }
 
   test("unknown token has empty postings") {
     val idx = InvertedIndex.build(records)
-    assert(idx.get("zzz").isEmpty)
+    assert(idx.idOf("zzz") == -1)
+    assert(postings(idx, "zzz").isEmpty)
     assert(!idx.contains("zzz"))
   }
 
@@ -38,7 +43,7 @@ class InvertedIndexSpec extends AnyFunSuite {
     val idx = InvertedIndex.build(recs)
     for (t <- idx.vocabulary) {
       val expected = recs.indices.filter(i => recs(i).tokens.contains(t))
-      assert(idx.get(t).toSeq == expected)
+      assert(postings(idx, t) == expected)
     }
   }
 

@@ -5,7 +5,9 @@ package repro.core
   * closure, kept verbatim (only moved here) so `MatchingSpec` can check that
   * the flat padded [[Matching]] kernel on a reused [[Matching.Scratch]]
   * returns `==` outcomes: the same label sums, the same early-termination
-  * decisions and bit-identical scores.
+  * decisions and bit-identical scores. Its builder reads string-keyed edge
+  * lists, as the engines did before the [[Edges]] table; `directEdges` gives
+  * such lists for explicit token arrays.
   */
 object MatchingOracle {
 
@@ -47,6 +49,13 @@ object MatchingOracle {
   }
 
   private val NoWeights = Array.empty[Array[Double]]
+
+  /** Direct edge lists between explicit token arrays: each candidate token's
+    * (qIdx, sim) pairs with sim ≥ α, in query order.
+    */
+  def directEdges(qTokens: Array[String], simFn: TokenSimilarity, alpha: Double)
+      : String => Array[(Int, Double)] = c =>
+    qTokens.indices.map(qi => (qi, simFn.simAlpha(qTokens(qi), c, alpha))).filter(_._2 > 0.0).toArray
 
   def hungarianMax(w: Array[Array[Double]], theta: Double = Double.NegativeInfinity)
       : HungarianOutcome = {

@@ -41,11 +41,14 @@ class MatchingSpec extends AnyFunSuite {
     case other           => fail(s"unexpected $other")
   }
 
-  /** The matrix of one (query, candidate) pair, built into a fresh scratch. */
+  /** The matrix of one (query, candidate) pair, built into `s` from a table
+    * of `edgesOf` over the candidate's distinct tokens.
+    */
   private def built(qCount: Int, cTokens: Array[String], edgesOf: String => Array[(Int, Double)],
-                    reduced: Boolean): Matching.Scratch = {
-    val s = new Matching.Scratch
-    Matching.weights(qCount, cTokens, edgesOf, reduced, s)
+                    reduced: Boolean, s: Matching.Scratch = new Matching.Scratch): Matching.Scratch = {
+    val tokens = cTokens.distinct.toSeq
+    Matching.weights(qCount, cTokens.map(tokens.indexOf(_)), EdgeTables.table(tokens, edgesOf),
+      reduced, s)
     s
   }
 
@@ -255,7 +258,7 @@ class MatchingSpec extends AnyFunSuite {
     for (_ <- 1 to 60) {
       val q = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
       val c = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(8)).toArray
-      val edges = Matching.directEdges(q, simFn, 0.4)
+      val edges = MatchingOracle.directEdges(q, simFn, 0.4)
       val reduced = Matching.hungarianMax(built(q.length, c, edges, reduced = true))
       val full = Matching.hungarianMax(built(q.length, c, edges, reduced = false))
       (reduced, full) match {
@@ -273,7 +276,7 @@ class MatchingSpec extends AnyFunSuite {
     for (_ <- 1 to 60) {
       val q = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(6)).toArray
       val c = rng.shuffle(vocab.toSeq).take(1 + rng.nextInt(6)).toArray
-      val edges = Matching.directEdges(q, simFn, 0.4)
+      val edges = MatchingOracle.directEdges(q, simFn, 0.4)
       val so = Matching.semanticOverlapDirect(q, c, simFn, 0.4)
       val theta = rng.nextDouble() * 3
       if (math.abs(so - theta) > 1e-6) {
@@ -351,10 +354,11 @@ class MatchingSpec extends AnyFunSuite {
             .filter(_._2 > 0.0)
         }.toMap
       val edgesOf = (t: String) => edges.getOrElse(t, Array.empty[(Int, Double)])
+      val table = EdgeTables.table(vocab.toSeq, edgesOf) // token id = position in vocab
       val cTokens = rng.shuffle(vocab.toSeq).take(rng.nextInt(vocab.length + 1)).toArray
       for (reduced <- Seq(false, true)) {
         val want = MatchingOracle.weights(qCount, cTokens, edgesOf, reduced)
-        Matching.weights(qCount, cTokens, edgesOf, reduced, s)
+        Matching.weights(qCount, cTokens.map(vocab.indexOf(_)), table, reduced, s)
         assert(read(s) == want.map(_.toSeq).toSeq)
         for (theta <- boundaryThetas(want))
           assert(Matching.hungarianMax(s, theta) == MatchingOracle.hungarianMax(want, theta))
@@ -375,9 +379,9 @@ class MatchingSpec extends AnyFunSuite {
     assert(Matching.hungarianMax(load(small, s)) == Completed(0.5))
     // The same through the builder: a full 6 × 6 matrix of ones, then 2 × 3.
     val ones = (t: String) => if (t.startsWith("a")) Array.tabulate(6)(q => (q, 1.0)) else Array((1, 0.4))
-    Matching.weights(6, Array.tabulate(6)(i => s"a$i"), ones, reduced = false, s)
+    built(6, Array.tabulate(6)(i => s"a$i"), ones, reduced = false, s)
     assert(Matching.hungarianMax(s) == Completed(6.0))
-    Matching.weights(2, Array("b", "c", "d"), ones, reduced = false, s)
+    built(2, Array("b", "c", "d"), ones, reduced = false, s)
     assert(read(s) == Seq(Seq(0.0, 0.0, 0.0), Seq(0.4, 0.4, 0.4)))
     assert(Matching.hungarianMax(s) == Completed(0.4))
   }

@@ -123,7 +123,8 @@ object RefinementOracle {
       val firstArrival = seenTokensGlobal.add(token)
       val isQueryToken = qTokenSet.contains(token)
 
-      val posting = inverted.get(token)
+      val id = inverted.idOf(token)
+      val posting = if (id >= 0) inverted.postingsOf(id) else Array.empty[Int]
       var p = 0
       while (p < posting.length) {
         val idx = posting(p)

@@ -135,11 +135,12 @@ class RefinementSpec extends AnyFunSuite {
     val query = TestData.randomQuery(rng, f)
     val alpha = 0.7
     val out = runRefinement(f, query, k = 3, alpha = alpha)
-    // Every (q, t) pair with sim ≥ α must be in the cache with its exact sim.
-    for (t <- f.vocab; qi <- query.indices) {
+    // Every (q, t) pair with sim ≥ α of a token in some set must be in the
+    // table with its exact sim.
+    for (t <- out.inverted.vocabulary; qi <- query.indices) {
       val s = f.simFn.sim(query(qi), t)
       if (s >= alpha) {
-        val es = out.edgeCache.getOrElse(t, Array.empty[(Int, Double)])
+        val es = EdgeTables.edgesOf(out.edges, out.inverted.idOf(t))
         val hit = es.find(_._1 == qi)
         assert(hit.isDefined, s"missing edge ($qi, $t)")
         assert(math.abs(hit.get._2 - s) < 1e-9)
@@ -213,10 +214,24 @@ class RefinementSpec extends AnyFunSuite {
       assert(got.streamTuples == want.streamTuples, ctx)
       assert(got.topkLb.threshold == want.thetaLb, ctx)
       assert(got.timedOut == want.timedOut, ctx)
-      assert(got.edgeCache.view.mapValues(_.toSeq).toMap ==
+      assert(EdgeTables.byToken(coll.inverted, got.edges) ==
         want.edgeCache.view.mapValues(_.toSeq).toMap, ctx)
     }
     assert(scanned > 0, "no run pruned a set in the bucket scan")
+  }
+
+  test("AllCandidates and Refinement hand verification the same edge table") {
+    var edged = 0 // runs with at least one edge
+    for (run <- randomRuns(seed = 72, trials = 40)) {
+      import run._
+      val koios = Refinement.run(coll.records, coll.inverted, stream, query, params, 0L)
+      val all = AllCandidates.run(coll.records, coll.inverted, stream, query, 0L)
+      val want = EdgeTables.byToken(coll.inverted, koios.edges)
+      assert(EdgeTables.byToken(coll.inverted, all.edges) == want, ctx)
+      assert(all.streamTuples == koios.streamTuples, ctx)
+      if (want.nonEmpty) edged += 1
+    }
+    assert(edged > 0, "no run streamed an edge")
   }
 
   test("after every stream tuple the oracle's bounds bracket SO and pruned sets are below θ_k*") {

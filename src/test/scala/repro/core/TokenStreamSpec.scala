@@ -93,8 +93,7 @@ class TokenStreamSpec extends AnyFunSuite {
     val idx = new BruteForceSimilarityIndex(vocab, simFn)
     val query = vocab.take(3)
     val stream = new TokenStream(query, idx, 0.3)
-    val n = stream.size // consumes
-    assert(stream.tuplesEmitted == n)
+    val n = stream.size // counts the tuples by consuming the stream
     // Every buffered pair of the index's α-lists is emitted once.
     assert(n == idx.neighborsAll(query, 0.3).map(_.length).sum)
   }
