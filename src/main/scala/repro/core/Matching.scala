@@ -36,39 +36,31 @@ object Matching {
   /** Per-query working memory of the kernel: one weight matrix at a time,
     * row-major and zero-padded to n×n with n = max(rows, cols), plus the
     * kernel's label, slack, way, match and tree arrays and the builder's
-    * row map. Every array grows to the largest matching solved on it and is
-    * reused; [[weights]] zero-fills only the n² prefix of the matrix. Not
-    * thread-safe: one scratch per query (per thread).
+    * row map. The arrays are reused, sized for a capacity that grows to the
+    * larger of n and 1.5× its last value: below 1.5× the largest n solved,
+    * so the matrix peaks at 2.25 × 8·n² bytes and its regrowths allocate at
+    * most 1.8× that. [[weights]] zero-fills only the n² prefix of the matrix
+    * (stride n). Not thread-safe: one scratch per query (per thread).
     */
   final class Scratch {
-    private[core] var rows = 0
-    private[core] var cols = 0
-    private[core] var n = 0
-    /** Largest n this scratch has held. */
-    private var maxN = 0
-    private[core] var w: Array[Double] = Array.emptyDoubleArray
-    private[core] var lx: Array[Double] = Array.emptyDoubleArray
-    private[core] var ly: Array[Double] = Array.emptyDoubleArray
-    private[core] var slack: Array[Double] = Array.emptyDoubleArray
-    private[core] var way: Array[Int] = Array.emptyIntArray
-    private[core] var matchL: Array[Int] = Array.emptyIntArray
-    private[core] var matchR: Array[Int] = Array.emptyIntArray
-    private[core] var sRows: Array[Int] = Array.emptyIntArray
-    private[core] var tCols: Array[Int] = Array.emptyIntArray
+    private[core] var rows, cols, n = 0
+    /** The largest n the arrays hold. */
+    private var cap = 0
+    private[core] var w, lx, ly, slack: Array[Double] = Array.emptyDoubleArray
+    private[core] var way, matchL, matchR, sRows, tCols, rowOf: Array[Int] = Array.emptyIntArray
     private[core] var inT: Array[Boolean] = Array.emptyBooleanArray
-    private[core] var rowOf: Array[Int] = Array.emptyIntArray
 
     /** Sizes the scratch for a rows × cols matrix and zero-fills its n×n
       * padded prefix.
       */
     private[core] def reset(nRows: Int, nCols: Int): Unit = {
       rows = nRows; cols = nCols; n = math.max(nRows, nCols)
-      if (n > maxN) {
-        maxN = n
-        w = new Array[Double](n * n)
-        lx = new Array[Double](n); ly = new Array[Double](n); slack = new Array[Double](n)
-        way = new Array[Int](n); matchL = new Array[Int](n); matchR = new Array[Int](n)
-        sRows = new Array[Int](n); tCols = new Array[Int](n); inT = new Array[Boolean](n)
+      if (n > cap) {
+        cap = math.max(n, math.min(cap + cap / 2, 46340)) // 46,340² < Int.MaxValue
+        w = new Array[Double](cap * cap)
+        lx = new Array[Double](cap); ly = new Array[Double](cap); slack = new Array[Double](cap)
+        way = new Array[Int](cap); matchL = new Array[Int](cap); matchR = new Array[Int](cap)
+        sRows = new Array[Int](cap); tCols = new Array[Int](cap); inT = new Array[Boolean](cap)
       } else java.util.Arrays.fill(w, 0, n * n, 0.0)
     }
   }

@@ -1,6 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, Executors}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Exact threshold-based similarity index over the vocabulary `D` (§IV).
   *
@@ -12,14 +14,38 @@ import scala.collection.mutable
 trait SimilarityIndex {
   def neighbors(q: String, alpha: Double): Array[(String, Double)]
 
-  /** `neighbors` of each query token, in query order. An index may score the
-    * tokens together; the lists are the same as one `neighbors` call each.
+  /** `neighbors` of each query token, in query order: by default one call
+    * each, in order, on the calling thread; an index may score them together.
     */
   def neighborsAll(qs: Array[String], alpha: Double): Array[Array[(String, Double)]] =
     qs.map(neighbors(_, alpha))
 }
 
 object SimilarityIndex {
+  private val cores = Runtime.getRuntime.availableProcessors
+  // One pool for every probe in the JVM: `cores − 1` daemon threads, parked when idle.
+  private lazy val pool = Executors.newFixedThreadPool(math.max(1, cores - 1),
+    r => { val t = new Thread(r, "similarity-probe"); t.setDaemon(true); t })
+
+  /** `chunk(from, until)` of each of at most `cores` ranges that split
+    * `0 until n` at multiples of `unit`, in range order: range 0 runs on the
+    * calling thread, the others on the pool. A range's exception is rethrown.
+    */
+  private[core] def chunked[A: ClassTag](n: Int, unit: Int)(chunk: (Int, Int) => A): Array[A] = {
+    val units = (n + unit - 1) / unit
+    val count = math.max(1, math.min(cores, units))
+    def start(c: Int): Int = math.min(n, (units.toLong * c / count).toInt * unit)
+    val rest = (1 until count).map(c =>
+      pool.submit(new Callable[A] { def call(): A = chunk(start(c), start(c + 1)) }))
+    // `+:` evaluates its left operand first: range 0 runs before any wait.
+    (chunk(0, start(1)) +: rest.map(r =>
+      try r.get catch { case e: ExecutionException => throw e.getCause })).toArray
+  }
+
+  /** `probe` of each token, in order, on token-range chunks. */
+  private[core] def byToken(qs: Array[String])(probe: String => Array[(String, Double)]) =
+    chunked(qs.length, 1)((from, until) => qs.slice(from, until).map(probe)).flatten
+
   /** Descending similarity, ties by token: a total order on a neighbour list,
     * whose tokens are distinct, so any sort gives the same list.
     */
@@ -44,15 +70,16 @@ object SimilarityIndex {
   * tokens against two vocabulary rows per pass (the blocked exact scan of
   * Johnson, Douze & Jégou, "Billion-scale similarity search with GPUs";
   * blocking the rows for the cache made no measurable difference at our
-  * vocabulary sizes, a few MB of vectors). Each score is the sum of
+  * vocabulary sizes, a few MB of vectors); as in their flat scan, each core
+  * scans its own even-length range of rows. Each score is the sum of
   * `q(i).toDouble * v(i)` in dimension order, clamped into [0, 1], the same
   * operations as [[EmbeddingCosineSimilarity.dotClamped]], so the scores are
   * bit-identical to it.
   *
-  * Any other similarity is called once per (query token, vocabulary token)
-  * and must keep its contract (values in [0, 1], `sim(x, x) = 1`); a value
-  * that breaks it throws `IllegalArgumentException`, since the refinement
-  * bounds assume it.
+  * Any other similarity is called once per (query token, vocabulary token),
+  * from one thread per range of query tokens, and must keep its contract
+  * (values in [0, 1], `sim(x, x) = 1`); a value that breaks it throws
+  * `IllegalArgumentException`, since the refinement bounds assume it.
   */
 final class BruteForceSimilarityIndex(vocab: Array[String], simFn: TokenSimilarity)
     extends SimilarityIndex {
@@ -101,7 +128,7 @@ final class BruteForceSimilarityIndex(vocab: Array[String], simFn: TokenSimilari
   override def neighborsAll(qs: Array[String], alpha: Double): Array[Array[(String, Double)]] =
     embedding match {
       case Some(e) => embeddingProbe(e, qs, alpha)
-      case None    => qs.map(genericProbe(_, alpha))
+      case None    => SimilarityIndex.byToken(qs)(genericProbe(_, alpha))
     }
 
   private def genericProbe(q: String, alpha: Double): Array[(String, Double)] = {
@@ -134,27 +161,33 @@ final class BruteForceSimilarityIndex(vocab: Array[String], simFn: TokenSimilari
       require(qv.length == dim, s"vector of '${scored(j)}' has ${qv.length} dimensions, not $dim")
       for (d <- 0 until dim) qmat(j * dim + d) = qv(d).toDouble
     }
-    val found = Array.fill(nq)(new mutable.ArrayBuffer[(String, Double)]())
     val self = Array.tabulate(nq)(j => if (j < scored.length) row(scored(j)) else -1)
-    var g = 0
-    while (g < nq) { score4x2(qmat, g, alpha, found, self); g += 4 }
+    // Per range of vector rows, one hit list per query token.
+    val hits = SimilarityIndex.chunked(vecs.length / math.max(1, dim), 2) { (from, until) =>
+      val found = Array.fill(nq)(new mutable.ArrayBuffer[(String, Double)]())
+      var g = 0
+      while (g < nq) { score4x2(qmat, g, alpha, found, self, from, until); g += 4 }
+      found
+    }
 
     val lists = scored.indices.map { j =>
-      if (self(j) >= 0 && 1.0 >= alpha) found(j) += ((scored(j), 1.0))
+      val found = hits.iterator.map(_(j)).reduce(_ ++= _)
+      if (self(j) >= 0 && 1.0 >= alpha) found += ((scored(j), 1.0))
       // A token without a vector has similarity 0 to every other token.
-      if (0.0 >= alpha) bareRows.foreach(r => found(j) += ((vocab(r), 0.0)))
-      scored(j) -> SimilarityIndex.sorted(found(j).toArray)
+      if (0.0 >= alpha) bareRows.foreach(r => found += ((vocab(r), 0.0)))
+      scored(j) -> SimilarityIndex.sorted(found.toArray)
     }.toMap
     // A query token without a vector matches only the identical token.
     qs.map(q => lists.getOrElse(q, if (row(q) >= 0) Array((q, 1.0)) else Array.empty[(String, Double)]))
   }
 
-  /** Scores query tokens `g until g + 4` of `qmat` against every vector row,
-    * two rows at a time: eight independent sums, each in dimension order.
+  /** Scores query tokens `g until g + 4` of `qmat` against vector rows
+    * `from until until` (an even count), two rows at a time: eight
+    * independent sums, each in dimension order.
     */
   private def score4x2(qmat: Array[Double], g: Int, alpha: Double,
                        found: Array[mutable.ArrayBuffer[(String, Double)]],
-                       self: Array[Int]): Unit = {
+                       self: Array[Int], from: Int, until: Int): Unit = {
     // Pre-filter on the raw sum: for α > 0, clamp(s) ≥ α implies s ≥ α.
     val floor = if (alpha > 0.0) alpha else Double.NegativeInfinity
     // Appends row `r` to query token `j`'s list if its clamped score is ≥ α;
@@ -165,9 +198,8 @@ final class BruteForceSimilarityIndex(vocab: Array[String], simFn: TokenSimilari
         found(j) += ((vocab(vecRows(r)), s))
     }
     val q0 = g * dim; val q1 = q0 + dim; val q2 = q1 + dim; val q3 = q2 + dim
-    val rows = vecs.length / math.max(1, dim)
-    var r = 0
-    while (r < rows) {
+    var r = from
+    while (r < until) {
       val a = r * dim; val b = a + dim
       var a0 = 0.0; var a1 = 0.0; var a2 = 0.0; var a3 = 0.0
       var b0 = 0.0; var b1 = 0.0; var b2 = 0.0; var b3 = 0.0
@@ -212,6 +244,9 @@ final class QGramPrefixIndex(vocab: Array[String], jaccard: JaccardQGramSimilari
     m.view.mapValues(_.toArray).toMap
   }
   private val vocabSet: Set[String] = vocab.toSet
+
+  override def neighborsAll(qs: Array[String], alpha: Double): Array[Array[(String, Double)]] =
+    SimilarityIndex.byToken(qs)(neighbors(_, alpha))
 
   override def neighbors(q: String, alpha: Double): Array[(String, Double)] = {
     val gs = jaccard.grams(q).toArray.sorted

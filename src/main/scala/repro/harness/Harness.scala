@@ -18,7 +18,7 @@ import repro.data.SemanticDataset
   *
   * As in the paper (§IV), one similarity index covers the whole vocabulary:
   * `run` probes it once per query and every partition reads the shared
-  * neighbour lists through a [[PartitionView]].
+  * neighbour lists through a [[PartitionView]]. The pool runs partitions.
   */
 final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long = 42L,
                                simOverride: Option[TokenSimilarity] = None) {
@@ -45,18 +45,17 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
     case _                         => new BruteForceSimilarityIndex(vocabulary, simFn)
   }
 
-  private val threads = math.min(16, partitions)
-  private val pool = Executors.newFixedThreadPool(threads)
+  private val pool = Executors.newFixedThreadPool(math.min(16, partitions))
   private implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
 
   def similarity: TokenSimilarity = simFn
 
-  /** Probes the query's distinct tokens once, in one chunk per pool thread,
-    * then has `execute` run `engineOf(partition, view)` on every partition
-    * (the pool by default; Spark tasks in [[repro.dist.KoiosSpark]]) and
-    * merges with [[SearchResult.merge]]. The merged `probeMs` is the shared
-    * probe's wall time plus the slowest partition's stream build. `wallMs` is
-    * the measured wall clock.
+  /** Probes the query's distinct tokens with one `neighborsAll` call, then
+    * has `execute` run `engineOf(partition, view)` on every partition (the
+    * pool by default; Spark tasks in [[repro.dist.KoiosSpark]]) and merges
+    * with [[SearchResult.merge]]. The merged `probeMs` is the shared probe's
+    * wall time plus the slowest partition's stream build. `wallMs` is the
+    * measured wall clock.
     */
   def run(query: Seq[String], params: KoiosParams,
           engineOf: (SetCollection, SimilarityIndex) => Seq[String] => SearchResult,
@@ -64,10 +63,7 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
       : (Seq[ScoredSet], SearchStats, Double) = {
     val t0 = System.nanoTime()
     val tokens = query.distinct.toArray
-    // Whole groups of four: the brute-force kernel scores four tokens a pass.
-    val chunk = math.max(4, ((tokens.length + threads - 1) / threads + 3) / 4 * 4)
-    val probes = tokens.grouped(chunk).map(c => Future(index.neighborsAll(c, params.alpha))).toVector
-    val probed = tokens.iterator.zip(probes.iterator.flatMap(awaited(_).iterator)).toMap
+    val probed = tokens.iterator.zip(index.neighborsAll(tokens, params.alpha).iterator).toMap
     val probeMs = (System.nanoTime() - t0) / 1e6
     val results = execute(c => engineOf(c, new PartitionView(probed, params.alpha, c))(query))
     val wallMs = (System.nanoTime() - t0) / 1e6
@@ -78,9 +74,7 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   // Starts every task, then awaits each in order: no callback is chained on
   // a future, so a failed task leaves nothing for `shutdown` to reject.
   private def onPool(search: SetCollection => SearchResult): Seq[SearchResult] =
-    parts.map(c => Future(search(c))).map(awaited)
-
-  private def awaited[A](f: Future[A]): A = Await.result(f, Duration.Inf)
+    parts.map(c => Future(search(c))).map(Await.result(_, Duration.Inf))
 
   def runKoios(query: Seq[String], params: KoiosParams): (Seq[ScoredSet], SearchStats, Double) =
     run(query, params, (c, i) => q => new KoiosEngine(c, i).search(q, params))

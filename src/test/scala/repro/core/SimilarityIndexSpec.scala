@@ -173,6 +173,78 @@ class SimilarityIndexSpec extends AnyFunSuite {
     assert(idx.neighbors(vocab(0), 0.3).length > 1)
   }
 
+  /** One sequential pass over the whole vocabulary, in row order: every
+    * token's score as `dotClamped` computes it (1 for the token itself, 0
+    * without a vector), kept if ≥ α and sorted by (−sim, token).
+    */
+  private def sequentialScan(vocab: Array[String], simFn: EmbeddingCosineSimilarity,
+                             q: String, alpha: Double): Seq[(String, Double)] =
+    simFn.vectors.get(q) match {
+      case None => if (vocab.contains(q)) Seq((q, 1.0)) else Nil
+      case Some(qv) =>
+        val hits = Seq.newBuilder[(String, Double)]
+        for (t <- vocab) {
+          val s =
+            if (t == q) 1.0
+            else simFn.vectors.get(t).fold(0.0)(EmbeddingCosineSimilarity.dotClamped(qv, _))
+          if (s >= alpha) hits += ((t, s))
+        }
+        hits.result().sortBy { case (t, s) => (-s, t) }
+    }
+
+  test("the row-chunked embedding probe equals a sequential single-range scan") {
+    val rng = new Random(25)
+    val emb = clusteredEmbeddings(rng, 40, 6, dim = 5)
+    val withVec = emb.keys.toArray.sorted
+    // Ties: two tokens with the vector of a third.
+    val tied = emb + ("tie1" -> emb(withVec(0))) + ("tie2" -> emb(withVec(0)))
+    val simFn = new EmbeddingCosineSimilarity(tied)
+    val bare = Array("bareA", "bareB")
+    val sizes = Seq(0, 1, 2, 3, 7, withVec.length + 2)
+    for (rows <- sizes) {
+      // `rows` vector rows, the tied tokens among them once there are three,
+      // interleaved with tokens without a vector.
+      val vectored = if (rows >= 3) Array("tie1", "tie2") ++ withVec.take(rows - 2) else withVec.take(rows)
+      val vocab = (vectored.take(1) ++ bare ++ vectored.drop(1)).sortBy(_.reverse)
+      assert(vocab.count(simFn.vectors.contains) == rows)
+      val idx = new BruteForceSimilarityIndex(vocab, simFn)
+      // Every vocabulary token (up to 12), with a vector and without, and
+      // tokens outside the vocabulary, with a vector and without.
+      val queries = vocab.take(12) ++ Array(withVec.last, "ghost")
+      for (alpha <- Seq(0.0, 0.3, 0.8, 0.95)) {
+        val got = idx.neighborsAll(queries, alpha).map(_.toSeq).toSeq
+        assert(got == queries.toSeq.map(sequentialScan(vocab, simFn, _, alpha)), s"rows=$rows alpha=$alpha")
+        if (rows >= 3) assert(got.exists(l => l.map(_._2).distinct.length < l.length), "no tie")
+      }
+    }
+  }
+
+  test("the q-gram and generic token-chunked probes equal their per-token neighbors") {
+    val j = new JaccardQGramSimilarity(3)
+    val rng = new Random(26)
+    val vocab = Seq.fill(120)(rng.alphanumeric.take(3 + rng.nextInt(6)).mkString).distinct.toArray
+    // More tokens than cores, a repeated token and tokens outside the vocabulary.
+    val queries = vocab.take(30) ++ Array(vocab(3), "ghost", "blain")
+    for (idx <- Seq(new QGramPrefixIndex(vocab, j), new BruteForceSimilarityIndex(vocab, j));
+         alpha <- Seq(0.3, 0.5, 0.8)) {
+      val got = idx.neighborsAll(queries, alpha).map(_.toSeq).toSeq
+      assert(got == queries.toSeq.map(idx.neighbors(_, alpha).toSeq), s"$idx alpha=$alpha")
+    }
+  }
+
+  test("the default neighborsAll calls neighbors once per token, in query order, on the calling thread") {
+    val calls = scala.collection.mutable.ArrayBuffer.empty[(String, Thread)]
+    val idx = new SimilarityIndex {
+      def neighbors(q: String, alpha: Double): Array[(String, Double)] = {
+        calls += ((q, Thread.currentThread))
+        Array((q, 1.0))
+      }
+    }
+    val qs = Array("c", "a", "b", "a")
+    assert(idx.neighborsAll(qs, 0.5).map(_.head._1).toSeq == qs.toSeq)
+    assert(calls.toSeq == qs.toSeq.map((_, Thread.currentThread)))
+  }
+
   test("a similarity outside [0, 1] or with sim(x, x) != 1 is rejected, naming the pair") {
     def sim(f: (String, String) => Double): TokenSimilarity = new TokenSimilarity {
       def sim(a: String, b: String): Double = f(a, b)

@@ -114,6 +114,47 @@ class HarnessSpec extends AnyFunSuite {
     }
   }
 
+  for (p <- Seq(1, 3, 10))
+    test(s"p = $p: the merged answer and every count equal the partitions searched on their own indexes") {
+      val eng = new PartitionedEngines(tiny, p)
+      try {
+        val rng = new Random(154)
+        val queries = hostileQueries ++ Seq.fill(4)(tiny.sets(rng.nextInt(tiny.sets.length)).tokens.toSeq)
+        for (query <- queries) {
+          val params = KoiosParams(5, 0.8)
+          val (topk, stats, _) = eng.runKoios(query, params)
+          val alone = SearchResult.merge(eng.parts.map { part =>
+            new KoiosEngine(part, new BruteForceSimilarityIndex(part.vocabulary, eng.similarity))
+              .search(query, params)
+          }, params.k)
+          assert(topk == alone.topk, s"query $query")
+          assert(withoutMeasurements(stats) == withoutMeasurements(alone.stats), s"query $query")
+        }
+      } finally eng.shutdown()
+    }
+
+  test("p = 1: the shared probe runs on more than one thread") {
+    assume(Runtime.getRuntime.availableProcessors > 1)
+    val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    val until = System.nanoTime() + 10000000000L
+    val recording = new TokenSimilarity {
+      def sim(a: String, b: String): Double = {
+        threads.add(Thread.currentThread)
+        // Holds the first thread until a second one calls, so the outcome
+        // does not depend on how fast idle threads wake.
+        while (threads.size < 2 && System.nanoTime() < until) Thread.sleep(1)
+        cosine.sim(a, b)
+      }
+    }
+    val eng = new PartitionedEngines(tiny, 1, simOverride = Some(recording))
+    try {
+      val query = tiny.sets.maxBy(_.tokens.distinct.length).tokens.toSeq
+      assert(query.distinct.length > 1)
+      eng.runKoios(query, KoiosParams(3, 0.8))
+      assert(threads.size > 1)
+    } finally eng.shutdown()
+  }
+
   /** Koios composed from its public layers, as the benchmark's traced engine
     * composes it: the same query normalisation and deadline, then
     * `new TokenStream`, `Refinement.run` and `PostProcessing.run`.
