@@ -6,7 +6,8 @@ package repro.core
   * to the token, on primitive arrays, so the matrix builder reads a record's
   * edges through `inverted.tokenIds` without hashing a string. A token's
   * edges form a list, newest first: `head(id)`, then `next(e)` until 0.
-  * Not thread-safe: one table per search.
+  * One table per search, written by its candidate phase only; after that,
+  * verification's helper threads read it concurrently.
   */
 final class Edges(tokenCount: Int) {
   private val heads = new Array[Int](tokenCount) // 0: no edge; edges count from 1

@@ -35,6 +35,9 @@ final class InvertedIndex private (
 
   /** Number of distinct tokens |D|. */
   def vocabularySize: Int = vocabulary.length
+
+  /** The largest set's cardinality; 0 for an empty repository. */
+  val maxSetSize: Int = recordIds.foldLeft(0)((m, ids) => math.max(m, ids.length))
 }
 
 object InvertedIndex {

@@ -16,7 +16,7 @@ final class SetCollection(val records: IndexedSeq[SetRecord]) extends Serializab
   * distributed setting): normalise the query, probe the similarity index
   * into the token stream, run refinement (Alg. 1) then post-processing
   * (Alg. 2), and record phase timings, filter counters and the heap bytes the
-  * search allocated.
+  * search allocated, on its thread and on the helper threads of verification.
   * The baselines ([[BaselineEngine]]) are this pipeline with other phases.
   */
 class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
@@ -32,7 +32,7 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
     PostProcessing.run(collection.records, candidates, query, params, deadlineNanos)
 
   final def search(queryTokens: Seq[String], params: KoiosParams): SearchResult = {
-    val allocated0 = KoiosEngine.threads.getCurrentThreadAllocatedBytes
+    val allocated0 = Workers.allocatedBytes()
     val query = queryTokens.distinct.toArray
     val deadline =
       if (params.timeoutMs > 0) System.nanoTime() + params.timeoutMs * 1000000L else 0L
@@ -59,15 +59,8 @@ class KoiosEngine(collection: SetCollection, index: SimilarityIndex) {
         probeMs = (tStream - t0) / 1e6,
         refinementMs = (t1 - tStream) / 1e6,
         postprocMs = (t2 - t1) / 1e6,
-        memBytes = KoiosEngine.threads.getCurrentThreadAllocatedBytes - allocated0,
+        memBytes = Workers.allocatedBytes() - allocated0 + post.helperBytes,
         thetaLbFinal = cands.topkLb.threshold,
         timedOut = cands.timedOut || post.timedOut))
   }
-}
-
-object KoiosEngine {
-  /** Per-thread allocation counter: a search runs on one thread. */
-  private val threads =
-    java.lang.management.ManagementFactory.getThreadMXBean
-      .asInstanceOf[com.sun.management.ThreadMXBean]
 }

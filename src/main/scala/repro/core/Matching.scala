@@ -33,17 +33,19 @@ object Matching {
     */
   val PruneEps = 1e-9
 
-  /** Per-query working memory of the kernel: one weight matrix at a time,
-    * row-major and zero-padded to n×n with n = max(rows, cols), plus the
-    * kernel's label, slack, way, match and tree arrays and the builder's
-    * row map. The arrays are reused, sized for a capacity that grows to the
-    * larger of n and 1.5× its last value: below 1.5× the largest n solved,
-    * so the matrix peaks at 2.25 × 8·n² bytes and its regrowths allocate at
-    * most 1.8× that. [[weights]] zero-fills only the n² prefix of the matrix
-    * (stride n). Not thread-safe: one scratch per query (per thread).
+  /** Working memory of the kernel: one weight matrix at a time, row-major
+    * and zero-padded to n×n with n = max(rows, cols), plus the kernel's
+    * label, slack, way, match and tree arrays and the builder's row map. The
+    * arrays are reused, sized for a capacity that grows to the larger of n
+    * and 1.5× its last value: below 1.5× the largest n solved, so the matrix
+    * peaks at 2.25 × 8·n² bytes and its regrowths allocate at most 1.8× that.
+    * [[weights]] zero-fills only the n² prefix of the matrix (stride n). Not
+    * thread-safe: the engines use one per thread, [[Scratch.local]].
     */
   final class Scratch {
     private[core] var rows, cols, n = 0
+    /** The label sum `Σ lx + Σ ly` when the last [[hungarianMax]] returned. */
+    private[core] var labelSum = 0.0
     /** The largest n the arrays hold. */
     private var cap = 0
     private[core] var w, lx, ly, slack: Array[Double] = Array.emptyDoubleArray
@@ -64,6 +66,18 @@ object Matching {
       } else java.util.Arrays.fill(w, 0, n * n, 0.0)
     }
   }
+
+  object Scratch {
+    private val perThread = ThreadLocal.withInitial[Scratch](() => new Scratch)
+
+    /** The calling thread's scratch, kept across queries. */
+    def local(): Scratch = perThread.get
+  }
+
+  /** θ_lb as one thread publishes it to the kernel runs of others: a run
+    * given a `LiveThreshold` reads `value` at every label-sum check.
+    */
+  private[core] final class LiveThreshold(@volatile var value: Double)
 
   /** Weight matrix of one (query, candidate) pair, from the search's edge
     * table, written into `s` (the matrix [[hungarianMax]] solves next).
@@ -136,11 +150,37 @@ object Matching {
     *                      [[Interrupted]]; 0 for none
     */
   def hungarianMax(s: Scratch, theta: Double = Double.NegativeInfinity,
-                   deadlineNanos: Long = 0L): HungarianOutcome = {
+                   deadlineNanos: Long = 0L): HungarianOutcome =
+    kernel(s, theta, null, deadlineNanos)
+
+  /** [[hungarianMax]] against the threshold `live` holds at each check. */
+  private[core] def hungarianMax(s: Scratch, live: LiveThreshold,
+                                 deadlineNanos: Long): HungarianOutcome =
+    kernel(s, Double.NegativeInfinity, live, deadlineNanos)
+
+  /** The outcome that a run at `theta` has, from a run of the same matrix
+    * against thresholds never above `theta` that returned `out` with final
+    * label sum `labelSum` ([[Scratch]]`.labelSum`). The label sums a run
+    * checks never rise and do not depend on its threshold, so a run that
+    * stopped early would also stop at `theta`, and a completed one would stop
+    * iff its last (smallest) label sum is below `theta − PruneEps`. An
+    * `Interrupted` run says nothing and stays `Interrupted`.
+    */
+  private[core] def replay(out: HungarianOutcome, labelSum: Double, theta: Double): HungarianOutcome =
+    out match {
+      case Completed(_) if labelSum < theta - PruneEps => EarlyTerminated
+      case other                                       => other
+    }
+
+  private def kernel(s: Scratch, theta: Double, live: LiveThreshold,
+                     deadlineNanos: Long): HungarianOutcome = {
+    // The pruning limit: the fixed `theta`, or what `live` holds now.
+    def limit: Double = (if (live eq null) theta else live.value) - PruneEps
     val rows = s.rows
     val cols = s.cols
+    s.labelSum = 0.0
     if (rows == 0 || cols == 0) {
-      return if (0.0 < theta - PruneEps) EarlyTerminated else Completed(0.0)
+      return if (0.0 < limit) EarlyTerminated else Completed(0.0)
     }
     val n = s.n
     val w = s.w
@@ -165,7 +205,8 @@ object Matching {
       labelSum += m
       i += 1
     }
-    if (labelSum < theta - PruneEps) return EarlyTerminated
+    s.labelSum = labelSum
+    if (labelSum < limit) return EarlyTerminated
 
     java.util.Arrays.fill(ly, 0, n, 0.0)
     java.util.Arrays.fill(matchL, 0, n, -1)
@@ -194,7 +235,8 @@ object Matching {
           while (k < tCount) { ly(tCols(k)) += delta; k += 1 }
           // |S| = |T| + 1 in the alternating tree, so the sum shrinks by delta.
           labelSum -= delta
-          if (labelSum < theta - PruneEps) return EarlyTerminated
+          s.labelSum = labelSum
+          if (labelSum < limit) return EarlyTerminated
         }
         inT(jmin) = true
         tCols(tCount) = jmin; tCount += 1

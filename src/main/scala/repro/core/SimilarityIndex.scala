@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutionException, Executors}
+import java.util.concurrent.{Callable, ExecutionException}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
@@ -22,21 +22,17 @@ trait SimilarityIndex {
 }
 
 object SimilarityIndex {
-  private val cores = Runtime.getRuntime.availableProcessors
-  // One pool for every probe in the JVM: `cores − 1` daemon threads, parked when idle.
-  private lazy val pool = Executors.newFixedThreadPool(math.max(1, cores - 1),
-    r => { val t = new Thread(r, "similarity-probe"); t.setDaemon(true); t })
-
-  /** `chunk(from, until)` of each of at most `cores` ranges that split
-    * `0 until n` at multiples of `unit`, in range order: range 0 runs on the
-    * calling thread, the others on the pool. A range's exception is rethrown.
+  /** `chunk(from, until)` of each of at most `availableProcessors` ranges
+    * that split `0 until n` at multiples of `unit`, in range order: range 0
+    * runs on the calling thread, the others on the [[Workers]] pool. A range's
+    * exception is rethrown.
     */
   private[core] def chunked[A: ClassTag](n: Int, unit: Int)(chunk: (Int, Int) => A): Array[A] = {
     val units = (n + unit - 1) / unit
-    val count = math.max(1, math.min(cores, units))
+    val count = math.max(1, math.min(Workers.cores, units))
     def start(c: Int): Int = math.min(n, (units.toLong * c / count).toInt * unit)
     val rest = (1 until count).map(c =>
-      pool.submit(new Callable[A] { def call(): A = chunk(start(c), start(c + 1)) }))
+      Workers.pool.submit(new Callable[A] { def call(): A = chunk(start(c), start(c + 1)) }))
     // `+:` evaluates its left operand first: range 0 runs before any wait.
     (chunk(0, start(1)) +: rest.map(r =>
       try r.get catch { case e: ExecutionException => throw e.getCause })).toArray

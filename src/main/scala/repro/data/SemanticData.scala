@@ -84,13 +84,6 @@ object SemanticData {
     minCard = 5, maxCard = 500, cardSkew = 15.0,
     conceptZipf = 1.25, localityWindow = 50, pLocal = 0.65, seed = 19, topicZipf = 0.8)
 
-  /** A tiny profile for unit tests (fast end-to-end runs). */
-  val tinyProfile: DatasetProfile = DatasetProfile(
-    name = "tiny", nSets = 200, nConcepts = 150, synonymsPerConcept = 3,
-    dim = 16, clusterCosine = 0.88, oovFraction = 0.15,
-    minCard = 4, maxCard = 30, cardSkew = 2.0,
-    conceptZipf = 0.9, localityWindow = 10, pLocal = 0.6, seed = 7)
-
   def tokenName(concept: Int, synonym: Int): String = f"t$concept%05d_$synonym"
 
   /** Generates the corpus deterministically from the profile. */

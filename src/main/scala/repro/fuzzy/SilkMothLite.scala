@@ -52,7 +52,7 @@ final class SilkMothLite(repo: SetCollection, simFn: TokenSimilarity, alpha: Dou
       new TokenStream(query, index, alpha), query, deadline)
     val edges = cands.edges
 
-    val scratch = new Matching.Scratch
+    val scratch = Matching.Scratch.local()
     var timedOut = cands.timedOut
     val out = mutable.ArrayBuffer.empty[ScoredSet]
     val it = cands.survivors.iterator

@@ -53,7 +53,9 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
   /** Probes the query's distinct tokens with one `neighborsAll` call, then
     * has `execute` run `engineOf(partition, view)` on every partition (the
     * pool by default; Spark tasks in [[repro.dist.KoiosSpark]]) and merges
-    * with [[SearchResult.merge]]. The merged `probeMs` is the shared probe's
+    * with [[SearchResult.merge]]. While `execute` runs, the partitions hold
+    * one [[Workers]] claim each, so verification enlists helpers only on the
+    * cores the fan-out leaves idle. The merged `probeMs` is the shared probe's
     * wall time plus the slowest partition's stream build. `wallMs` is the
     * measured wall clock.
     */
@@ -65,7 +67,9 @@ final class PartitionedEngines(ds: SemanticDataset, partitions: Int, seed: Long 
     val tokens = query.distinct.toArray
     val probed = tokens.iterator.zip(index.neighborsAll(tokens, params.alpha).iterator).toMap
     val probeMs = (System.nanoTime() - t0) / 1e6
-    val results = execute(c => engineOf(c, new PartitionView(probed, params.alpha, c))(query))
+    val results = Workers.claiming(parts.length) {
+      execute(c => engineOf(c, new PartitionView(probed, params.alpha, c))(query))
+    }
     val wallMs = (System.nanoTime() - t0) / 1e6
     val merged = SearchResult.merge(results, params.k)
     (merged.topk, merged.stats.copy(probeMs = probeMs + merged.stats.probeMs), wallMs)

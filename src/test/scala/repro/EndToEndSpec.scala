@@ -2,7 +2,7 @@ package repro
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.data.SemanticData
+import repro.data.{SemanticData, TestProfiles}
 import scala.util.Random
 
 /** End-to-end exactness on the realistic synthetic corpus (concept clusters,
@@ -10,7 +10,7 @@ import scala.util.Random
   */
 class EndToEndSpec extends AnyFunSuite {
 
-  private lazy val ds = SemanticData.generate(SemanticData.tinyProfile)
+  private lazy val ds = SemanticData.generate(TestProfiles.tiny)
   private lazy val simFn = new EmbeddingCosineSimilarity(ds.embeddings)
   private lazy val coll = new SetCollection(ds.sets)
   private lazy val index = new BruteForceSimilarityIndex(coll.vocabulary, simFn)

@@ -3,7 +3,7 @@ package repro
 import scala.util.Random
 
 import repro.core._
-import repro.data.{SemanticData, SemanticDataset}
+import repro.data.{SemanticDataset, TestProfiles}
 import repro.dist.KoiosSpark
 import repro.fuzzy.SilkMothLite
 import repro.harness.PartitionedEngines
@@ -24,7 +24,7 @@ class HostileInputSpec extends SparkSpec {
     val params = KoiosParams(k, alpha)
     val repo = new SetCollection(records)
     val single = new KoiosEngine(repo, new BruteForceSimilarityIndex(repo.vocabulary, simFn))
-    val ds = SemanticDataset(SemanticData.tinyProfile, records.toVector, simFn.vectors)
+    val ds = SemanticDataset(TestProfiles.tiny, records.toVector, simFn.vectors)
     val engines = new PartitionedEngines(ds, partitions)
     try {
       val theta = Reference.thetaKStar(records, query, simFn, alpha, k)

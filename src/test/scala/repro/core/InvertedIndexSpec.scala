@@ -45,11 +45,13 @@ class InvertedIndexSpec extends AnyFunSuite {
       val expected = recs.indices.filter(i => recs(i).tokens.contains(t))
       assert(postings(idx, t) == expected)
     }
+    assert(idx.maxSetSize == recs.map(_.size).max)
   }
 
   test("empty repository") {
     val idx = InvertedIndex.build(IndexedSeq.empty)
     assert(idx.vocabularySize == 0)
+    assert(idx.maxSetSize == 0)
   }
 
   test("SetRecord deduplicates tokens") {

@@ -339,6 +339,23 @@ class MatchingSpec extends AnyFunSuite {
     assert(early > 100 && completed > 100, s"early=$early completed=$completed")
   }
 
+  test("a run at a lower threshold, classified by its last label sum, == the run at θ") {
+    val rng = new Random(21)
+    val s = new Matching.Scratch
+    var replayedEarly = 0
+    for (_ <- 1 to 300) {
+      val w = tiedMatrix(rng, rng.nextInt(9), 1 + rng.nextInt(8))
+      val thetas = boundaryThetas(w)
+      for (theta <- thetas; lower <- thetas if lower <= theta) {
+        val want = Matching.hungarianMax(load(w, s), theta)
+        val at = Matching.hungarianMax(load(w, s), new Matching.LiveThreshold(lower), 0L)
+        assert(Matching.replay(at, s.labelSum, theta) == want, s"θ′ = $lower, θ = $theta")
+        if (at.isInstanceOf[Completed] && want == EarlyTerminated) replayedEarly += 1
+      }
+    }
+    assert(replayedEarly > 100, s"only $replayedEarly completed runs replayed as early-terminated")
+  }
+
   test("builder writes the oracle builder's matrix; both kernels' outcomes ==") {
     val rng = new Random(18)
     val vocab = (0 until 10).map(i => s"t$i").toArray

@@ -6,23 +6,23 @@ import scala.util.Random
 
 class SemanticDataSpec extends AnyFunSuite {
 
-  private lazy val tiny = SemanticData.generate(SemanticData.tinyProfile)
+  private lazy val tiny = SemanticData.generate(TestProfiles.tiny)
 
   test("generation is deterministic in the profile") {
-    val a = SemanticData.generate(SemanticData.tinyProfile)
-    val b = SemanticData.generate(SemanticData.tinyProfile)
+    val a = SemanticData.generate(TestProfiles.tiny)
+    val b = SemanticData.generate(TestProfiles.tiny)
     assert(a.sets.map(_.tokens.toSeq) == b.sets.map(_.tokens.toSeq))
     assert(a.embeddings.keySet == b.embeddings.keySet)
     a.embeddings.foreach { case (t, v) => assert(v.sameElements(b.embeddings(t))) }
   }
 
   test("different seeds give different corpora") {
-    val c = SemanticData.generate(SemanticData.tinyProfile.copy(seed = 99))
+    val c = SemanticData.generate(TestProfiles.tiny.copy(seed = 99))
     assert(c.sets.map(_.tokens.toSeq) != tiny.sets.map(_.tokens.toSeq))
   }
 
   test("set count and cardinality bounds respect the profile") {
-    val p = SemanticData.tinyProfile
+    val p = TestProfiles.tiny
     assert(tiny.sets.length == p.nSets)
     tiny.sets.foreach { s =>
       assert(s.size >= 1)
@@ -35,7 +35,7 @@ class SemanticDataSpec extends AnyFunSuite {
   }
 
   test("within-cluster cosine is high, cross-cluster is low") {
-    val p = SemanticData.tinyProfile
+    val p = TestProfiles.tiny
     val simFn = new EmbeddingCosineSimilarity(tiny.embeddings)
     val rng = new Random(1)
     val inCluster = for {
@@ -61,7 +61,7 @@ class SemanticDataSpec extends AnyFunSuite {
   }
 
   test("OOV fraction is in the right ballpark") {
-    val p = SemanticData.tinyProfile
+    val p = TestProfiles.tiny
     val total = p.nConcepts * p.synonymsPerConcept
     val oov = total - tiny.embeddings.size
     val frac = oov.toDouble / total
@@ -79,13 +79,13 @@ class SemanticDataSpec extends AnyFunSuite {
   test("corpus statistics helpers") {
     assert(tiny.maxSize == tiny.sets.map(_.size).max)
     assert(math.abs(tiny.avgSize - tiny.sets.map(_.size).sum.toDouble / tiny.sets.length) < 1e-9)
-    assert(tiny.uniqueElements <= SemanticData.tinyProfile.nConcepts *
-      SemanticData.tinyProfile.synonymsPerConcept)
+    assert(tiny.uniqueElements <= TestProfiles.tiny.nConcepts *
+      TestProfiles.tiny.synonymsPerConcept)
   }
 
   test("skewed profiles produce skewed cardinalities (median < mean)") {
     val ds = SemanticData.generate(
-      SemanticData.tinyProfile.copy(minCard = 5, maxCard = 200, cardSkew = 3.5, nSets = 400))
+      TestProfiles.tiny.copy(minCard = 5, maxCard = 200, cardSkew = 3.5, nSets = 400))
     val sizes = ds.sets.map(_.size).sorted
     val median = sizes(sizes.length / 2)
     val mean = sizes.sum.toDouble / sizes.length
@@ -113,7 +113,7 @@ class SemanticDataSpec extends AnyFunSuite {
 
   test("hot tokens exist under a high Zipf exponent (WDC-like posting skew)") {
     val ds = SemanticData.generate(
-      SemanticData.tinyProfile.copy(conceptZipf = 1.3, pLocal = 0.3, nSets = 500))
+      TestProfiles.tiny.copy(conceptZipf = 1.3, pLocal = 0.3, nSets = 500))
     val freq = ds.sets.flatMap(_.tokens).groupBy(identity).map(_._2.length)
     val max = freq.max
     val avg = freq.sum.toDouble / freq.size

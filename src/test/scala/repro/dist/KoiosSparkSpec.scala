@@ -2,7 +2,7 @@ package repro.dist
 
 import repro.SparkSpec
 import repro.core._
-import repro.data.{SemanticData, SemanticDataset}
+import repro.data.{SemanticData, SemanticDataset, TestProfiles}
 import repro.harness.PartitionedEngines
 import scala.util.Random
 
@@ -16,7 +16,7 @@ class KoiosSparkSpec extends SparkSpec {
 
   private def enginesOver(records: IndexedSeq[SetRecord], vectors: Map[String, Array[Float]],
                           partitions: Int, simOverride: Option[TokenSimilarity] = None) =
-    new PartitionedEngines(SemanticDataset(SemanticData.tinyProfile, records.toVector, vectors),
+    new PartitionedEngines(SemanticDataset(TestProfiles.tiny, records.toVector, vectors),
       partitions, simOverride = simOverride)
 
   /** Spark's answer to each query, after asserting that the pool's answer on
@@ -71,7 +71,7 @@ class KoiosSparkSpec extends SparkSpec {
   }
 
   test("3-gram Jaccard, p = 3: Spark probes the prefix index and equals the pool") {
-    val tiny = SemanticData.generate(SemanticData.tinyProfile)
+    val tiny = SemanticData.generate(TestProfiles.tiny)
     val jaccard = new JaccardQGramSimilarity(3)
     val eng = enginesOver(tiny.sets, tiny.embeddings, 3, Some(jaccard))
     try {

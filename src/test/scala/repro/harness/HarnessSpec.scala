@@ -2,12 +2,12 @@ package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.data.SemanticData
+import repro.data.{SemanticData, TestProfiles}
 import scala.util.Random
 
 class HarnessSpec extends AnyFunSuite {
 
-  private lazy val tiny = SemanticData.generate(SemanticData.tinyProfile)
+  private lazy val tiny = SemanticData.generate(TestProfiles.tiny)
   private lazy val engines = new PartitionedEngines(tiny, partitions = 3)
 
   test("partitioned Koios equals the brute-force reference") {
@@ -47,6 +47,26 @@ class HarnessSpec extends AnyFunSuite {
     assert(stats.refinementMs >= 0)
     assert(stats.probeMs > 0) // the shared probe's wall time
     assert(stats.probeMs + stats.refinementMs + stats.postprocMs <= wallMs)
+  }
+
+  test("no helper is enlisted when p ≥ availableProcessors; at p = 1 one is") {
+    assume(Workers.cores > 1, "one core: no helper at any p")
+    // 120 distinct corpus tokens: every survivor's max(|Q|, |C|) is above the
+    // helpers' size cut-off.
+    val query = tiny.sets.iterator.flatMap(_.tokens).distinct.take(120).toSeq
+    val params = KoiosParams(10, 0.8)
+    def enlisted(p: Int): Long = {
+      val eng = new PartitionedEngines(tiny, partitions = p)
+      try {
+        val before = Workers.enlisted
+        val (_, stats, _) = eng.runKoios(query, params)
+        assert(stats.survivors > 0)
+        Workers.enlisted - before
+      } finally eng.shutdown()
+    }
+    assert(enlisted(Workers.cores) == 0)
+    assert(enlisted(Workers.cores + 3) == 0)
+    assert(enlisted(1) > 0)
   }
 
   private lazy val cosine = new EmbeddingCosineSimilarity(tiny.embeddings)
